@@ -173,26 +173,27 @@ let figure_cmd =
 let exact_cmd =
   let run () tile =
     Printf.printf "prototile (m = %d):\n%s\n\n" (Prototile.size tile) (Render.Ascii.prototile tile);
-    if Prototile.dim tile = 2 && Polyomino.is_polyomino tile then begin
-      let w = Polyomino.boundary_word tile in
-      Printf.printf "boundary word: %s (length %d)\n" w (String.length w);
-      match Boundary_word.find_factorization w with
-      | Some f ->
-        let x1, x2, x3 = Boundary_word.factor_words w f in
-        Printf.printf "BN factorization: X1=%s X2=%s X3=%s -> EXACT (%s)\n" x1 x2
-          (if x3 = "" then "-" else x3)
-          (if f.Boundary_word.len3 = 0 then "pseudo-square" else "pseudo-hexagon");
-        let v1, v2 = Boundary_word.translation_vectors w f in
-        Printf.printf "tiling translation vectors: %s, %s\n" (Zgeom.Vec.to_string v1)
-          (Zgeom.Vec.to_string v2)
-      | None -> Printf.printf "no BN factorization -> NOT exact (cannot tile by translations)\n"
-    end
-    else begin
-      match Tiling.Search.exactness tile with
-      | `Exact -> print_endline "EXACT (tiling found by search)"
-      | `NotExact -> print_endline "NOT exact"
-      | `Unknown -> print_endline "UNKNOWN (bounded search exhausted; not a polyomino)"
-    end
+    let print_word w = Printf.printf "boundary word: %s (length %d)\n" w (String.length w) in
+    match Boundary_word.classify tile with
+    | Factorized { word = w; factorization = f } ->
+      print_word w;
+      let x1, x2, x3 = Boundary_word.factor_words w f in
+      Printf.printf "BN factorization: X1=%s X2=%s X3=%s -> EXACT (%s)\n" x1 x2
+        (if x3 = "" then "-" else x3)
+        (if f.Boundary_word.len3 = 0 then "pseudo-square" else "pseudo-hexagon");
+      let v1, v2 = Boundary_word.translation_vectors w f in
+      Printf.printf "tiling translation vectors: %s, %s\n" (Zgeom.Vec.to_string v1)
+        (Zgeom.Vec.to_string v2)
+    | Refuted (Unfactorizable w) ->
+      print_word w;
+      Printf.printf "no BN factorization -> NOT exact (cannot tile by translations)\n"
+    | Refuted Hole ->
+      print_endline "has a hole -> NOT exact (a translate covering the hole cannot fit inside it)"
+    | Not_applicable ->
+      print_endline
+        (match Tiling.Search.find_tiling tile with
+        | Some _ -> "EXACT (tiling found by search)"
+        | None -> "UNKNOWN (bounded search exhausted; not a 4-connected 2-D tile)")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Decide whether a prototile tiles the lattice (question Q1).")

@@ -10,27 +10,19 @@ type verdict =
   | Non_exact
   | Exact of { tiling : Tiling.Single.t; certificate : Core.Certificate.t }
 
-(* BN is a complete decision procedure for (simply-connected 2-D)
-   polyominoes: no factorization means no translation tiling at all.
-   When a factorization exists, Wijshoff-van Leeuwen guarantees a
-   lattice tiling, and the BN translation vectors name one - validating
+(* [Boundary_word.classify] is a complete decision procedure for
+   polyominoes, holes included: a refuted tile has no translation tiling
+   at all.  When a factorization exists, Wijshoff-van Leeuwen guarantees
+   a lattice tiling, and the BN translation vectors name one - validating
    them through [Single.make] is the polynomial fast path that keeps the
-   exact-cover engine off this road entirely.  The search fallbacks can
+   exact-cover engine off this road entirely.  The search fallback can
    only fire if the fast path's vectors were wrong, i.e. on a bug. *)
 let decide tile =
-  (* A polyomino with a hole (first at area 7) never tiles by
-     translations: a translate covering a hole cell must be disjoint
-     from the enclosing tile, so it lies entirely inside the hole - but
-     the tile's bounding box strictly contains its own hole's, so it
-     cannot fit.  BN itself needs simple connectivity (a boundary word),
-     so these are settled here. *)
-  if not (Polyomino.is_polyomino tile) then Non_exact
-  else
-  let w = Polyomino.boundary_word tile in
-  match Boundary_word.find_factorization w with
-  | None -> Non_exact
-  | Some f ->
-    let v1, v2 = Boundary_word.translation_vectors w f in
+  match Boundary_word.classify tile with
+  | Not_applicable -> invalid_arg "Corpus.Campaign.decide: not a 4-connected 2-D tile"
+  | Refuted _ -> Non_exact
+  | Factorized { word; factorization } ->
+    let v1, v2 = Boundary_word.translation_vectors word factorization in
     let tiling =
       match
         Tiling.Single.make ~prototile:tile ~period:(Sublattice.of_rows [ v1; v2 ])

@@ -3,12 +3,13 @@
 
     {!run} streams {!Lattice.Polyomino.enumerate_free_iter} band by
     band (area [n] = one band).  Each tile is decided by {!decide}: the
-    Beauquier-Nivat factorization is the polynomial admission filter -
-    no factorization is a {e complete} refutation for polyominoes, so
-    the exact-cover machinery never runs on a non-exact tile; a
-    factorization yields translation vectors that [Single.make]
-    validates directly (Wijshoff-van Leeuwen), which is the fast path
-    that keeps search off the campaign's critical path entirely.
+    hole test plus the Beauquier-Nivat factorization is the polynomial
+    admission filter - a hole or no factorization is a {e complete}
+    refutation for polyominoes, so the exact-cover machinery never runs
+    on a non-exact tile; a factorization yields translation vectors
+    that [Single.make] validates directly (Wijshoff-van Leeuwen), which
+    is the fast path that keeps search off the campaign's critical path
+    entirely.
     Verdict computation fans out over the {!Parallel} pool
     (deterministically - results are assembled in band order at every
     [-j]).
@@ -31,12 +32,13 @@
     never look authoritative. *)
 
 type verdict =
-  | Non_exact  (** no BN factorization: proven untileable by translations *)
+  | Non_exact
+      (** a hole or no BN factorization: proven untileable by translations *)
   | Exact of { tiling : Tiling.Single.t; certificate : Core.Certificate.t }
 
 val decide : Lattice.Prototile.t -> verdict
-(** Decide one polyomino prototile (must satisfy
-    [Polyomino.is_polyomino]; enumerated tiles do). *)
+(** Decide one 4-connected 2-D prototile (enumerated tiles are) by
+    {!Lattice.Boundary_word.classify}; [Invalid_argument] otherwise. *)
 
 val payload_of_verdict : verdict -> string
 (** The segment record payload: empty for {!Non_exact}, the tiling line

@@ -124,6 +124,27 @@ let translation_vectors w f =
   let d1 = displacement x1 and d2 = displacement x2 and d3 = displacement x3 in
   (Vec.add d1 d2, Vec.add d2 d3)
 
+type refutation = Hole | Unfactorizable of string
+
+type classification =
+  | Not_applicable
+  | Refuted of refutation
+  | Factorized of { word : string; factorization : factorization }
+
+(* A tile with a hole (first at area 7) never tiles by translations: a
+   translate covering a hole cell must be disjoint from the enclosing
+   tile, so, being 4-connected, it lies entirely inside the hole - but
+   the tile's bounding box strictly contains its own hole's, so it
+   cannot fit. *)
+let classify p =
+  if Prototile.dim p <> 2 || not (Polyomino.is_connected p) then Not_applicable
+  else if Polyomino.has_holes p then Refuted Hole
+  else
+    let word = Polyomino.boundary_word p in
+    match find_factorization word with
+    | None -> Refuted (Unfactorizable word)
+    | Some factorization -> Factorized { word; factorization }
+
 let is_exact_polyomino p =
   assert (Polyomino.is_polyomino p);
-  find_factorization (Polyomino.boundary_word p) <> None
+  match classify p with Factorized _ -> true | Not_applicable | Refuted _ -> false

@@ -53,6 +53,32 @@ val translation_vectors : string -> factorization -> Zgeom.Vec.t * Zgeom.Vec.t
     [X2 X3]. These two vectors generate a sublattice that tiles the plane
     with the polyomino (used as a fast path before exhaustive search). *)
 
+(** Why a tile provably admits no translation tiling. *)
+type refutation =
+  | Hole
+      (** Not simply connected.  A translate covering a hole cell would
+          have to fit inside the hole, which is strictly smaller than the
+          tile's bounding box. *)
+  | Unfactorizable of string
+      (** Simply connected, but this boundary word has no BN
+          factorization. *)
+
+type classification =
+  | Not_applicable
+      (** Not a 4-connected 2-D cell set: BN says nothing, only search
+          can decide. *)
+  | Refuted of refutation  (** No translation tiling exists. *)
+  | Factorized of { word : string; factorization : factorization }
+      (** Exact: the boundary word and its BN factorization, whose
+          {!translation_vectors} generate a lattice tiling. *)
+
+val classify : Prototile.t -> classification
+(** The one exactness decision for polyominoes, total on every
+    prototile: connectivity, then holes, then BN on the boundary word.
+    Complete wherever it does not answer [Not_applicable], because any
+    periodic translation tiling of [Z^2] by a 4-connected tile is a
+    translation tiling of the plane by its polyomino. *)
+
 val is_exact_polyomino : Prototile.t -> bool
-(** End-to-end: boundary word + BN criterion. Requires
+(** [classify] answered [Factorized].  Requires
     [Polyomino.is_polyomino]. *)

@@ -35,10 +35,17 @@
     Tile replies carry a {!Protocol.source} marker - [memory], [corpus],
     [store] or [fresh] - naming the tier that settled them.
 
-    Searches can be bounded by a wall-clock [deadline] checked between
-    search stages; an expired search answers [Deadline_exceeded] and is
-    {e not} cached (a later retry may succeed), while a completed search
-    that proves no tiling exists caches [No_tiling]. *)
+    A miss in every tier is settled by {!Tiling.Search.find_tiling} on
+    the canonical tile: lattice stage, then Beauquier-Nivat refutation,
+    then the early-stopping torus sweep.  The [searches] counter in
+    {!stats} counts every such miss, including the refuted ones that
+    never reach the exact-cover kernel.
+
+    Searches can be bounded by a wall-clock [deadline] checked before
+    each search stage (the [check] hook of {!Tiling.Search.find_tiling});
+    an expired search answers [Deadline_exceeded] and is {e not} cached
+    (a later retry may succeed), while a completed search that proves no
+    tiling exists caches [No_tiling]. *)
 
 open Lattice
 
@@ -51,10 +58,6 @@ val create :
   (* default 512 *)
   ?deadline:float ->
   (* seconds per search; default unbounded *)
-  ?torus_factors:int list ->
-  (* as {!Tiling.Search.find_tiling} *)
-  ?search_engine:Tiling.Search.engine ->
-  (* exact-cover kernel for torus searches; default [`Bitmask] *)
   ?pool:Parallel.pool ->
   (* default {!Parallel.default} *)
   ?store:Store.t ->

@@ -26,7 +26,7 @@ type server_stats = {
   served : int;  (** requests answered (anything but [Overloaded]) *)
   overloaded : int;  (** requests refused by admission control *)
   errors : int;  (** requests answered with [Error_r] *)
-  searches : int;  (** tiling searches actually run *)
+  searches : int;  (** tiling searches actually run, refuted misses included *)
   coalesced : int;  (** cache misses folded into another miss's search *)
   timeouts : int;  (** searches abandoned at their deadline *)
   cache_hits : int;

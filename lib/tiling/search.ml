@@ -747,33 +747,33 @@ let count_torus_covers ~period ~prototiles ?(engine = `Bitmask) ?pool ?sched () 
 
 let default_factors = [ 1; 2; 3; 4 ]
 
-let torus_single_tilings ~factors p =
+(* The first single-prototile torus cover over the periods of index
+   [f * |N|], [f] in [factors], in enumeration order; [check] runs
+   before each period. *)
+let first_torus_tiling ~check ~factors p =
   let d = Prototile.dim p in
   let m = Prototile.size p in
-  List.concat_map
-    (fun f ->
-      List.concat_map
-        (fun lam ->
-          cover_torus ~period:lam ~prototiles:[ p ] ~max_solutions:1 ()
-          |> List.filter_map (fun mt ->
-                 match Multi.pieces mt with
-                 | [ pc ] -> (
-                   match
-                     Single.make ~prototile:p ~period:lam ~offsets:pc.Multi.piece_offsets
-                   with
-                   | Ok t -> Some t
-                   | Error _ -> None)
-                 | _ -> None))
-        (Sublattice.all_of_index ~dim:d (f * m)))
-    factors
+  let of_cover lam mt =
+    match Multi.pieces mt with
+    | [ pc ] ->
+      Result.to_option (Single.make ~prototile:p ~period:lam ~offsets:pc.Multi.piece_offsets)
+    | _ -> None
+  in
+  List.to_seq factors
+  |> Seq.concat_map (fun f -> List.to_seq (Sublattice.all_of_index ~dim:d (f * m)))
+  |> Seq.find_map (fun lam ->
+         check ();
+         cover_torus ~period:lam ~prototiles:[ p ] ~max_solutions:1 ()
+         |> List.find_map (of_cover lam))
 
-let find_tiling ?(torus_factors = default_factors) p =
+let find_tiling ?(check = ignore) ?(torus_factors = default_factors) p =
+  check ();
   match find_lattice_tiling p with
   | Some t -> Some t
   | None -> (
-    match torus_single_tilings ~factors:torus_factors p with
-    | t :: _ -> Some t
-    | [] -> None)
+    match Boundary_word.classify p with
+    | Refuted _ -> None
+    | Factorized _ | Not_applicable -> first_torus_tiling ~check ~factors:torus_factors p)
 
 let find_respectable ?(torus_factors = default_factors) prototiles ?(max_solutions = 16) () =
   match prototiles with
@@ -961,8 +961,8 @@ let cover_region ~region ~prototile ?torus ?(max_solutions = 64) ?keep () =
   go (Bitset.create n) (Bitset.full npl) [];
   List.rev !sols
 
-let exactness ?(torus_factors = default_factors) p =
-  if Prototile.dim p = 2 && Polyomino.is_polyomino p then
-    if Boundary_word.is_exact_polyomino p then `Exact else `NotExact
-  else if find_tiling ~torus_factors p <> None then `Exact
-  else `Unknown
+let exactness ?torus_factors p =
+  match Boundary_word.classify p with
+  | Factorized _ -> `Exact
+  | Refuted _ -> `NotExact
+  | Not_applicable -> if find_tiling ?torus_factors p <> None then `Exact else `Unknown

@@ -9,8 +9,8 @@
       [Z^d / Lambda], finding every periodic tiling with that period
       (including multi-prototile and non-lattice ones, e.g. the S/Z mix of
       Figure 5).
-    - {!exactness}: the decision procedure. For simply-connected 2-D
-      polyominoes the Beauquier-Nivat criterion is complete
+    - {!exactness}: the decision procedure. For 4-connected 2-D tiles
+      the hole test plus the Beauquier-Nivat criterion is complete
       (together with Wijshoff-van Leeuwen's periodicity theorem); for
       arbitrary prototiles we search periods up to a bounded index
       multiple and report [`Unknown] on exhaustion - the general problem
@@ -183,17 +183,34 @@ val cover_region :
     periodic schedule ([Lifetime.Repair]). *)
 
 val find_tiling :
-  ?torus_factors:int list -> Lattice.Prototile.t -> Single.t option
-(** A single-prototile periodic tiling if one is found: first among
-    lattice tilings, then among torus covers with period index
-    [f * |N|] for [f] in [torus_factors] (default [1..4]). *)
+  ?check:(unit -> unit) -> ?torus_factors:int list -> Lattice.Prototile.t -> Single.t option
+(** A single-prototile periodic tiling if one is found.  Three stages,
+    in order:
+
+    + {b lattice}: the first of {!lattice_tilings}, so an exact tile
+      always gets the same lattice tiling;
+    + {b refutation}: [None] without any exact-cover search when
+      {!Lattice.Boundary_word.classify} refutes the tile (a hole, or no
+      BN factorization) - the torus sweep below provably finds nothing
+      there, since any torus cover lifts to a translation tiling of the
+      plane;
+    + {b torus sweep}: {!cover_torus} over the periods of index
+      [f * |N|] for [f] in [torus_factors] (default [1..4]), in
+      {!Lattice.Sublattice.all_of_index} order, stopping at the first
+      tiling.
+
+    [check] (default: nothing) runs before the lattice stage and before
+    each torus period; an exception it raises aborts the search and
+    propagates - the schedule server's wall-clock deadline is the one
+    use. *)
 
 val exactness :
   ?torus_factors:int list ->
   Lattice.Prototile.t ->
   [ `Exact | `NotExact | `Unknown ]
-(** Complete for 2-D simply-connected polyominoes (BN criterion);
-    otherwise a bounded search that can return [`Unknown]. *)
+(** {!Lattice.Boundary_word.classify} where it applies - complete for
+    every 4-connected 2-D tile, holes included ([`NotExact]); otherwise
+    {!find_tiling}, which answers [`Exact] or, on exhaustion, [`Unknown]. *)
 
 val find_respectable :
   ?torus_factors:int list ->

@@ -246,10 +246,10 @@ let test_protocol_corpus_fields () =
 (* ---------- differential oracle ---------- *)
 
 (* The BN filter is a complete decision procedure for polyominoes
-   (holes included, which the campaign settles directly); the search is
-   an independent implementation of the same question.  Every class up
-   to area 8 must get the same verdict from both, and the totals pin
-   the committed EXPERIMENTS table. *)
+   (holes included); the exhaustive sweep of [Oracle] is an independent
+   implementation of the same question.  Every class up to area 8 must
+   get the same verdict from both, and the totals pin the committed
+   EXPERIMENTS table. *)
 let test_bn_differential_oracle () =
   let pool = Parallel.create ~jobs:4 in
   Fun.protect
@@ -265,7 +265,7 @@ let test_bn_differential_oracle () =
               | Campaign.Non_exact -> false
               | Campaign.Exact _ -> true
             in
-            (Store.key_of_prototile t, bn, Option.is_some (Tiling.Search.find_tiling t)))
+            (Store.key_of_prototile t, bn, Option.is_some (Oracle.exhaustive_tiling t)))
           (List.rev !tiles)
       in
       List.iter

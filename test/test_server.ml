@@ -188,6 +188,82 @@ let test_pos_dim_mismatch () =
   | Protocol.Error_r _ -> ()
   | _ -> Alcotest.fail "expected error reply"
 
+(* ---------- search tier vs the exhaustive oracle ---------- *)
+
+(* [tile] in a seeded random orientation, re-anchored at a random cell. *)
+let random_orientation rng tile =
+  let g = Prng.Xoshiro.pick rng (Array.of_list Symmetry.elements) in
+  let cells = Array.of_list (List.map (Symmetry.apply g) (Prototile.cells tile)) in
+  let anchor = Prng.Xoshiro.pick rng cells in
+  Prototile.of_cells (Array.to_list (Array.map (fun c -> Zgeom.Vec.sub c anchor) cells))
+
+(* The canonical tile's lattice tiling carried to [tile]'s orientation
+   through the [canonicalize] witness, as the engine promises. *)
+let transported_lattice_tiling tile =
+  let canon, g = Symmetry.canonicalize tile in
+  let canon_tiling =
+    match Tiling.Search.find_lattice_tiling canon with
+    | Some t -> t
+    | None -> Alcotest.failf "the oracle tiles %s, but not by a lattice" (Prototile.to_string canon)
+  in
+  let a = Zgeom.Vec.Set.min_elt (Zgeom.Vec.Set.map (Symmetry.apply g) (Prototile.cell_set tile)) in
+  let gi = Symmetry.inverse g in
+  let period =
+    Sublattice.of_rows
+      (List.map (Symmetry.apply gi) (Sublattice.generators (Tiling.Single.period canon_tiling)))
+  in
+  let offsets =
+    List.map (fun o -> Symmetry.apply gi (Zgeom.Vec.sub o a)) (Tiling.Single.offsets canon_tiling)
+  in
+  match Tiling.Single.make ~prototile:tile ~period ~offsets with
+  | Ok t -> t
+  | Error msg -> Alcotest.failf "transported tiling invalid: %s" msg
+
+(* Every free polyomino up to area 8, a holey heptomino and 32 random
+   area 9-10 polyominoes, each in a random orientation, through one
+   engine: a [Tile_search] reply is [No_tiling] exactly when the
+   exhaustive sweep finds nothing, and a tiling reply renders
+   byte-identically to the transported lattice tiling of the canonical
+   tile.  Every distinct class costs exactly one search. *)
+let test_search_tier_matches_oracle () =
+  let rng = Prng.Xoshiro.create 2024L in
+  let tiles = ref [] in
+  Polyomino.enumerate_free_iter ~max_area:8 (fun ~area:_ t -> tiles := t :: !tiles);
+  let holey = Prototile.of_cells [ v2 0 0; v2 1 0; v2 2 0; v2 0 1; v2 2 1; v2 0 2; v2 1 2 ] in
+  let larger = List.init 32 (fun i -> Randomtile.polyomino rng ~cells:(9 + (i mod 2))) in
+  let tiles = List.map (random_orientation rng) (List.rev_append !tiles (holey :: larger)) in
+  let pool = Parallel.create ~jobs:2 in
+  let tileable =
+    Fun.protect
+      ~finally:(fun () -> Parallel.shutdown pool)
+      (fun () -> Parallel.map pool (fun t -> Option.is_some (Oracle.exhaustive_tiling t)) tiles)
+  in
+  let e = Engine.create ~cache_capacity:1024 () in
+  let classes = Hashtbl.create 1024 in
+  List.iter2
+    (fun tile tileable ->
+      let key = Engine.canonical_key tile in
+      let searches_before = (Engine.stats e).Protocol.searches in
+      let reply = Engine.handle e (Protocol.Tile_search tile) in
+      let fresh = not (Hashtbl.mem classes key) in
+      Hashtbl.replace classes key ();
+      Alcotest.(check int)
+        ("one search per new class: " ^ key)
+        (if fresh then 1 else 0)
+        ((Engine.stats e).Protocol.searches - searches_before);
+      let source = Some (if fresh then Protocol.Fresh else Protocol.Memory) in
+      let expected : Protocol.response =
+        if tileable then
+          let tiling = transported_lattice_tiling tile in
+          Tiling_r { tiling; certificate = Core.Certificate.build tiling; source }
+        else No_tiling source
+      in
+      Alcotest.(check string) ("reply for " ^ key)
+        (Protocol.response_to_string expected) (Protocol.response_to_string reply))
+    tiles tileable;
+  Alcotest.(check int) "distinct classes" (Hashtbl.length classes)
+    (Engine.stats e).Protocol.searches
+
 (* ---------- protocol ---------- *)
 
 let roundtrip_req req =
@@ -410,6 +486,8 @@ let () =
             test_deadline_zero;
           Alcotest.test_case "no-tiling results are cached" `Slow test_no_tiling_cached;
           Alcotest.test_case "pos dimension mismatch" `Quick test_pos_dim_mismatch;
+          Alcotest.test_case "search tier = exhaustive oracle" `Slow
+            test_search_tier_matches_oracle;
         ] );
       ( "protocol",
         [

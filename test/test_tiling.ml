@@ -331,6 +331,10 @@ let test_exactness_decisions () =
   check "S exact" `Exact (Prototile.tetromino `S);
   check "U5 not exact" `NotExact (Prototile.pentomino `U);
   check "F5 not exact" `NotExact (Prototile.pentomino `F);
+  check "holey heptomino not exact" `NotExact
+    (Prototile.of_cells
+       [ Vec.make2 0 0; Vec.make2 1 0; Vec.make2 2 0; Vec.make2 0 1; Vec.make2 2 1;
+         Vec.make2 0 2; Vec.make2 1 2 ]);
   check "{0,2} 1-D exact (torus search)" `Exact
     (Prototile.of_cells [ Vec.of_list [ 0 ]; Vec.of_list [ 2 ] ]);
   check "diagonal pair exact" `Exact
