@@ -583,15 +583,19 @@ let parallel_speedup () =
   in
   let s_tet = Prototile.tetromino `S and z_tet = Prototile.tetromino `Z in
   let sz_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
-  report "torus exact cover, S+Z on 4x8, backtracking, all solutions" (fun pool ->
-      Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Backtracking ~pool ());
-  report "torus exact cover, S+Z on 4x8, dancing links, all solutions" (fun pool ->
-      Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Dlx ~pool ());
-  report "torus exact cover, S+Z on 4x8, bitmask, all solutions" (fun pool ->
-      Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Bitmask ~pool ());
+  let sz_covers pool =
+    Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
+      ~max_solutions:max_int ~pool ()
+  in
+  (* The jobs=1 list, which [report] holds every pool size to, is also
+     asserted equal to the reference backtracker's: identity against an
+     independent solver, not just against the kernel's own run. *)
+  Parallel.with_pool ~jobs:1 (fun pool ->
+      assert (
+        sz_covers pool
+        = Tiling_oracle.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
+            ~max_solutions:max_int ()));
+  report "torus exact cover, S+Z on 4x8, bitmask kernel, all solutions" sz_covers;
   report "lattice tilings, Chebyshev ball r=3 (|N| = 49)" (fun pool ->
       Tiling.Search.lattice_tilings ~pool (Prototile.chebyshev_ball ~dim:2 3));
   let cheb1 = Prototile.chebyshev_ball ~dim:2 1 in
@@ -700,11 +704,11 @@ let store_warm_start () =
     (cold.Netsim.Stats.p95_latency /. Float.max 1.0 warm.Netsim.Stats.p95_latency)
 
 (* ------------------------------------------------------------------ *)
-(* EXP-P2: engine shootout on the acceptance workload                    *)
+(* EXP-P2: solver shootout on the acceptance workload                    *)
 (* ------------------------------------------------------------------ *)
 
-let engine_shootout () =
-  section "EXP-P2" "exact-cover engine shootout: backtracking vs DLX vs bitmask";
+let solver_shootout () =
+  section "EXP-P2" "exact-cover solver shootout: reference backtracker vs bitmask kernel";
   let s_tet = Prototile.tetromino `S and z_tet = Prototile.tetromino `Z in
   let sz_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
   let wall f =
@@ -712,54 +716,50 @@ let engine_shootout () =
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
   in
-  let run engine pool =
-    Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-      ~max_solutions:max_int ~engine ?pool ()
+  let prototiles = [ s_tet; z_tet ] in
+  let run pool =
+    Tiling.Search.cover_torus ~period:sz_period ~prototiles ~max_solutions:max_int ?pool ()
   in
   (* Sequential, all solutions: the workload the bitmask kernel was built
      for.  The identity of the full ordered solution lists is asserted,
      so the speedup is for byte-identical output. *)
   Printf.printf "S+Z on 4x8, all solutions, jobs=1:\n";
-  Printf.printf "  %-14s %12s %10s\n" "engine" "time (s)" "speedup";
-  let reference, bt_dt = wall (fun () -> run `Backtracking None) in
+  Printf.printf "  %-14s %12s %10s\n" "solver" "time (s)" "speedup";
+  let reference, bt_dt =
+    wall (fun () ->
+        Tiling_oracle.cover_torus ~period:sz_period ~prototiles ~max_solutions:max_int ())
+  in
   Printf.printf "  %-14s %12.3f %9.2fx\n" "backtracking" bt_dt 1.0;
-  List.iter
-    (fun (engine, name) ->
-      let v, dt = wall (fun () -> run engine None) in
-      assert (v = reference);
-      Printf.printf "  %-14s %12.3f %9.2fx\n" name dt (bt_dt /. dt))
-    [ (`Dlx, "dlx"); (`Bitmask, "bitmask") ];
+  let v, dt = wall (fun () -> run None) in
+  assert (v = reference);
+  Printf.printf "  %-14s %12.3f %9.2fx\n" "bitmask" dt (bt_dt /. dt);
   Printf.printf "  (%d solutions; ordered lists asserted identical)\n" (List.length reference);
-  (* The bitmask engine under the parallel split: still the same list. *)
+  (* The kernel under the parallel split: still the same list. *)
   Parallel.with_pool ~jobs:4 (fun pool ->
-      let v, dt = wall (fun () -> run `Bitmask (Some pool)) in
+      let v, dt = wall (fun () -> run (Some pool)) in
       assert (v = reference);
       Printf.printf "  %-14s %12.3f %9.2fx  (identical: true)\n" "bitmask -j4" dt (bt_dt /. dt));
   (* Pure enumeration: the same tree without materializing solutions.
-     End-to-end, every engine shares the Multi construction and the
-     retention of 1024 result values - an Amdahl floor that caps the
-     ratio above; counting removes it and exposes the kernels. *)
-  let count engine pool =
-    Tiling.Search.count_torus_covers ~period:sz_period ~prototiles:[ s_tet; z_tet ] ~engine
-      ?pool ()
-  in
+     End-to-end, both solvers pay Multi construction and the retention
+     of 1024 result values - an Amdahl floor that caps the ratio above;
+     counting removes it and exposes the search itself. *)
+  let count pool = Tiling.Search.count_torus_covers ~period:sz_period ~prototiles ?pool () in
   Printf.printf "\nsame workload, enumeration only (count_torus_covers), jobs=1:\n";
-  Printf.printf "  %-14s %12s %10s\n" "engine" "time (s)" "speedup";
-  let n_ref, cnt_bt = wall (fun () -> count `Backtracking None) in
+  Printf.printf "  %-14s %12s %10s\n" "solver" "time (s)" "speedup";
+  let n_ref, cnt_bt =
+    wall (fun () -> Tiling_oracle.count_torus_covers ~period:sz_period ~prototiles ())
+  in
   assert (n_ref = List.length reference);
   Printf.printf "  %-14s %12.3f %9.2fx\n" "backtracking" cnt_bt 1.0;
-  List.iter
-    (fun (engine, name) ->
-      let n, dt = wall (fun () -> count engine None) in
-      assert (n = n_ref);
-      Printf.printf "  %-14s %12.3f %9.2fx\n" name dt (cnt_bt /. dt))
-    [ (`Dlx, "dlx"); (`Bitmask, "bitmask") ];
+  let n, dt = wall (fun () -> count None) in
+  assert (n = n_ref);
+  Printf.printf "  %-14s %12.3f %9.2fx\n" "bitmask" dt (cnt_bt /. dt);
   Parallel.with_pool ~jobs:4 (fun pool ->
-      let n = count `Bitmask (Some pool) in
+      let n = count (Some pool) in
       assert (n = n_ref);
-      Printf.printf "  (count %d = solution-list length at every engine and pool size)\n" n);
+      Printf.printf "  (count %d = solution-list length for both solvers and at jobs=4)\n" n);
   Printf.printf
-    "\nthe bitmask engine replaces the backtracker's per-node list scans with\n\
+    "\nthe bitmask kernel replaces the backtracker's per-node list scans with\n\
      static conflict lists, an undo stack and incrementally maintained candidate\n\
      counts; DESIGN.md section 11 explains why the enumeration order is preserved\n\
      and EXPERIMENTS.md EXP-P2 breaks down the materialization floor.\n"
@@ -804,7 +804,7 @@ let () =
   channel_ablation ();
   aloha_tuning ();
   parallel_speedup ();
-  engine_shootout ();
+  solver_shootout ();
   server_loadgen ();
   store_warm_start ();
   micro_benchmarks ();

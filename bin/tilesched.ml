@@ -1214,7 +1214,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the Bechamel micro-benchmark suite (including the three torus exact-cover engines) \
+         "Run the Bechamel micro-benchmark suite (including the torus exact-cover kernel against \
+          its reference backtracker) \
           and optionally emit or validate the machine-readable BENCH_5.json artifact; with \
           $(b,--skew), the EXP-P3 static-vs-steal scheduler suite and BENCH_6.json instead; with \
           $(b,--lifetime), the EXP-L1 rotation/repair suite and BENCH_7.json; with \

@@ -53,10 +53,8 @@ let skew_root_share ~n =
 let required =
   [
     "torus-all-backtracking";
-    "torus-all-dlx";
     "torus-all-bitmask";
     "torus-mat-backtracking";
-    "torus-mat-dlx";
     "torus-mat-bitmask";
   ]
 
@@ -431,21 +429,14 @@ let run ?(quota = 0.5) () =
   let s_tet = Prototile.tetromino `S and z_tet = Prototile.tetromino `Z in
   (* EXP-P2 workload: S/Z tetrominoes on the 4x8 torus, all 1024
      solutions, sequentially (jobs = 1).  [torus-all-*] is pure
-     enumeration through {!Tiling.Search.count_torus_covers} - the
-     engine comparison proper; [torus-mat-*] is the end-to-end
-     materializing search, whose engines share the [Multi.t]
-     construction and retention cost (the Amdahl floor EXP-P2
-     documents). *)
+     enumeration - the solver comparison proper; [torus-mat-*] is the
+     end-to-end materializing search, where both solvers pay [Multi.t]
+     construction and retention (the Amdahl floor EXP-P2 documents).
+     [*-bitmask] is the {!Tiling.Search} kernel, [*-backtracking] the
+     {!Tiling_oracle} reference backtracker. *)
   let sz48_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
+  let sz48 = [ s_tet; z_tet ] in
   let seq_pool = Parallel.create ~jobs:1 in
-  let torus_all engine () =
-    Tiling.Search.count_torus_covers ~period:sz48_period ~prototiles:[ s_tet; z_tet ] ~engine
-      ~pool:seq_pool ()
-  in
-  let torus_mat engine () =
-    Tiling.Search.cover_torus ~period:sz48_period ~prototiles:[ s_tet; z_tet ]
-      ~max_solutions:max_int ~engine ~pool:seq_pool ()
-  in
   let g8, _ = Coloring.Graph.lattice_window ~prototile:cheb1 ~width:8 ~height:8 in
   let sim_cfg =
     { (Netsim.Sim.default_config
@@ -473,12 +464,21 @@ let run ?(quota = 0.5) () =
           (Staged.stage (fun () ->
                Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
                  ~max_solutions:1 ()));
-        Test.make ~name:"torus-all-backtracking" (Staged.stage (torus_all `Backtracking));
-        Test.make ~name:"torus-all-dlx" (Staged.stage (torus_all `Dlx));
-        Test.make ~name:"torus-all-bitmask" (Staged.stage (torus_all `Bitmask));
-        Test.make ~name:"torus-mat-backtracking" (Staged.stage (torus_mat `Backtracking));
-        Test.make ~name:"torus-mat-dlx" (Staged.stage (torus_mat `Dlx));
-        Test.make ~name:"torus-mat-bitmask" (Staged.stage (torus_mat `Bitmask));
+        Test.make ~name:"torus-all-backtracking"
+          (Staged.stage (fun () ->
+               Tiling_oracle.count_torus_covers ~period:sz48_period ~prototiles:sz48 ()));
+        Test.make ~name:"torus-all-bitmask"
+          (Staged.stage (fun () ->
+               Tiling.Search.count_torus_covers ~period:sz48_period ~prototiles:sz48
+                 ~pool:seq_pool ()));
+        Test.make ~name:"torus-mat-backtracking"
+          (Staged.stage (fun () ->
+               Tiling_oracle.cover_torus ~period:sz48_period ~prototiles:sz48
+                 ~max_solutions:max_int ()));
+        Test.make ~name:"torus-mat-bitmask"
+          (Staged.stage (fun () ->
+               Tiling.Search.cover_torus ~period:sz48_period ~prototiles:sz48
+                 ~max_solutions:max_int ~pool:seq_pool ()));
         Test.make ~name:"certificate-check-cheb1"
           (Staged.stage
              (let cert = Core.Certificate.build cheb1_tiling in

@@ -3,12 +3,13 @@
     subcommand.
 
     The suite pins one workload per hot subsystem (boundary-word
-    factorization, torus exact cover under each {!Tiling.Search.engine},
-    schedule lookup, coloring, simulation, ...) and reports an OLS
-    estimate of nanoseconds per call.  Rows serialize to the
+    factorization, torus exact cover by the {!Tiling.Search} kernel and
+    by the {!Tiling_oracle} reference backtracker, schedule lookup,
+    coloring, simulation, ...) and reports an OLS estimate of
+    nanoseconds per call.  Rows serialize to the
     [BENCH_5.json] artifact - a JSON array of
     [{"name": ..., "ns_per_call": ...}] objects - which CI regenerates,
-    schema-checks with {!validate_json} and uploads, so engine
+    schema-checks with {!validate_json} and uploads, so solver
     regressions are visible as a diffable time series. *)
 
 type row = { name : string; ns_per_call : float }
@@ -55,13 +56,14 @@ val run_skew : ?quota:float -> unit -> row list
     [quota] as in {!run}. *)
 
 val required : string list
-(** Substrings that {!validate_json} demands among row names: the three
-    torus-cover engines on the EXP-P2 workload (S/Z tetrominoes on the
-    4x8 torus, all 1024 solutions, jobs = 1), each both as pure
-    enumeration ([torus-all-*], {!Tiling.Search.count_torus_covers}) and
-    end-to-end materialization ([torus-mat-*]), so the artifact always
-    carries the backtracking/DLX/bitmask comparison this suite exists to
-    track. *)
+(** Substrings that {!validate_json} demands among row names: the two
+    torus-cover solvers on the EXP-P2 workload (S/Z tetrominoes on the
+    4x8 torus, all 1024 solutions, jobs = 1) - the {!Tiling.Search}
+    kernel ([*-bitmask]) and the {!Tiling_oracle} backtracker
+    ([*-backtracking]) - each both as pure enumeration ([torus-all-*],
+    [count_torus_covers]) and end-to-end materialization
+    ([torus-mat-*]), so the artifact always carries the comparison this
+    suite exists to track. *)
 
 val required_skew : string list
 (** The row names {!validate_json} demands of the [BENCH_6.json]

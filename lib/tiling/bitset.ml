@@ -21,34 +21,15 @@ let full n =
   end;
   t
 
-let length t = t.n
-
-let copy t = { n = t.n; w = Array.copy t.w }
-
-let same_width a b op = if a.n <> b.n then invalid_arg ("Bitset." ^ op ^ ": width mismatch")
-
-let blit ~src ~dst =
-  same_width src dst "blit";
-  Array.blit src.w 0 dst.w 0 (Array.length src.w)
-
 let check t i op = if i < 0 || i >= t.n then invalid_arg ("Bitset." ^ op ^ ": out of range")
 
 let set t i =
   check t i "set";
   t.w.(i / bpw) <- t.w.(i / bpw) lor (1 lsl (i mod bpw))
 
-let reset t i =
-  check t i "reset";
-  t.w.(i / bpw) <- t.w.(i / bpw) land lnot (1 lsl (i mod bpw))
-
 let mem t i =
   check t i "mem";
   t.w.(i / bpw) land (1 lsl (i mod bpw)) <> 0
-
-let is_empty t =
-  let k = Array.length t.w in
-  let rec go i = i >= k || (t.w.(i) = 0 && go (i + 1)) in
-  go 0
 
 (* SWAR popcount.  OCaml ints are 63 bits and literals above [max_int]
    are rejected, so the top bit is counted separately and the classic
@@ -69,58 +50,6 @@ let popcount t =
   done;
   !acc
 
-let equal a b =
-  same_width a b "equal";
-  let k = Array.length a.w in
-  let rec go i = i >= k || (a.w.(i) = b.w.(i) && go (i + 1)) in
-  go 0
-
-let union a b =
-  same_width a b "union";
-  for i = 0 to Array.length a.w - 1 do
-    a.w.(i) <- a.w.(i) lor b.w.(i)
-  done
-
-let diff a b =
-  same_width a b "diff";
-  for i = 0 to Array.length a.w - 1 do
-    a.w.(i) <- a.w.(i) land lnot b.w.(i)
-  done
-
-let inter a b =
-  same_width a b "inter";
-  for i = 0 to Array.length a.w - 1 do
-    a.w.(i) <- a.w.(i) land b.w.(i)
-  done
-
-let inter_into ~dst a b =
-  same_width dst a "inter_into";
-  same_width a b "inter_into";
-  for i = 0 to Array.length a.w - 1 do
-    dst.w.(i) <- a.w.(i) land b.w.(i)
-  done
-
-(* [popcount (inter a b)] without materializing the intersection. *)
-let inter_popcount a b =
-  same_width a b "inter_popcount";
-  let acc = ref 0 in
-  for i = 0 to Array.length a.w - 1 do
-    acc := !acc + popcount_word (Array.unsafe_get a.w i land Array.unsafe_get b.w i)
-  done;
-  !acc
-
-let subset a b =
-  same_width a b "subset";
-  let k = Array.length a.w in
-  let rec go i = i >= k || (a.w.(i) land lnot b.w.(i) = 0 && go (i + 1)) in
-  go 0
-
-let disjoint a b =
-  same_width a b "disjoint";
-  let k = Array.length a.w in
-  let rec go i = i >= k || (a.w.(i) land b.w.(i) = 0 && go (i + 1)) in
-  go 0
-
 let iter f t =
   for i = 0 to Array.length t.w - 1 do
     let base = i * bpw in
@@ -133,11 +62,6 @@ let iter f t =
   done
 
 let unsafe_words t = t.w
-
-let of_list n elts =
-  let t = create n in
-  List.iter (fun i -> set t i) elts;
-  t
 
 let to_list t =
   let acc = ref [] in

@@ -1,16 +1,14 @@
 (** Fixed-width mutable bitsets over [{0, ..., n-1}], packed into an
     [int array] ([Sys.int_size] bits per word).
 
-    This is the data layer of the [`Bitmask] exact-cover engine
-    ({!Search.cover_torus}): cover masks, conflict masks and the live-
-    placement set are all bitsets, so placing a tile is a handful of
-    word-parallel and/or/and-not loops instead of list traversals.  All
-    binary operations require both operands to have the same width and
-    run in-place on the first operand - the hot path never allocates.
+    This is the data layer of the exact-cover kernel behind
+    {!Search.cover_torus}: the live-placement set is a bitset, and the
+    kernel's hot loops test and flip its bits directly through
+    {!unsafe_words}.
 
-    Representation invariant: bits at positions [>= length] are zero in
-    every well-formed value, so {!popcount}, {!equal}, {!is_empty} and
-    {!iter} need no masking.  Every operation below preserves it. *)
+    Representation invariant: bits at positions [>= n] are zero in every
+    well-formed value, so {!popcount} and {!iter} need no masking.
+    Every operation below preserves it. *)
 
 type t
 
@@ -20,64 +18,24 @@ val create : int -> t
 val full : int -> t
 (** [full n] is [{0, ..., n-1}] itself. *)
 
-val length : t -> int
-(** The width [n] (not the population). *)
-
-val copy : t -> t
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite [dst] with the contents of [src]; same width required. *)
-
 val set : t -> int -> unit
-val reset : t -> int -> unit
 
 val mem : t -> int -> bool
 
-val is_empty : t -> bool
 val popcount : t -> int
-val equal : t -> t -> bool
-
-val union : t -> t -> unit
-(** [union a b] sets [a := a OR b]. *)
-
-val diff : t -> t -> unit
-(** [diff a b] sets [a := a AND NOT b]. *)
-
-val inter : t -> t -> unit
-(** [inter a b] sets [a := a AND b]. *)
-
-val inter_into : dst:t -> t -> t -> unit
-(** [inter_into ~dst a b] sets [dst := a AND b] without reading [dst]. *)
-
-val inter_popcount : t -> t -> int
-(** [inter_popcount a b = popcount (inter a b)] without materializing
-    the intersection or mutating either operand. *)
-
-val subset : t -> t -> bool
-(** [subset a b] iff every member of [a] is in [b]. *)
-
-val disjoint : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** Members in ascending order (lowest-set-bit extraction, so cost is
     proportional to the population, not the width). *)
 
-val popcount_word : int -> int
-(** Population count of a single word, exposed for fused hot loops over
-    {!unsafe_words}.  [popcount_word ((w land (-w)) - 1)] is the index
-    of [w]'s lowest set bit within its word. *)
-
 val unsafe_words : t -> int array
 (** The backing word array - physical identity, not a copy - packed
     [Sys.int_size] bits per word, lowest indices first.  Exposed so the
-    search kernels can fuse bit extraction with their own table lookups
-    in closure-free loops.  Callers must preserve the representation
-    invariant (bits at positions [>= length] stay zero) and must not
-    grow or shrink the array; use the typed operations wherever speed
-    does not demand otherwise. *)
-
-val of_list : int -> int list -> t
-(** [of_list n elts]: members from [elts] (duplicates fine), width [n]. *)
+    search kernel can fuse bit tests with its own table lookups in
+    closure-free loops.  Callers must preserve the representation
+    invariant (bits at positions [>= n] stay zero) and must not grow or
+    shrink the array; use the typed operations wherever speed does not
+    demand otherwise. *)
 
 val to_list : t -> int list
 (** Members ascending. *)

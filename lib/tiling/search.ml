@@ -36,15 +36,13 @@ let find_lattice_tiling p =
 
 type placement = { piece : int; anchor : Vec.t; covers : int list }
 
-type engine = [ `Backtracking | `Bitmask | `Dlx ]
-
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* Mutable search state of the [`Bitmask] engine; one per task, created
+(* Mutable search state of the exact-cover kernel; one per task, created
    inside the task, so the Parallel closures stay pure (lint R3).
    Invariants between calls:
    - [live] = placements compatible with everything placed so far, i.e.
-     exactly the placements the list engine's [free] test would accept;
+     the placements whose footprints are entirely uncovered;
    - [counts.(c)] = number of live placements covering cell [c];
    - [cell_next]/[cell_prev] = doubly-linked list of the uncovered
      cells in ascending cell order, with sentinel node [idx], so cell
@@ -72,65 +70,24 @@ type mask_state = {
   mutable depth : int;
 }
 
-(* Shared implementation of [cover_torus] (collect = true: materialize
-   [Multi.t] solutions, truncated to [max_solutions]) and
-   [count_torus_covers] (collect = false: traverse the same tree, same
-   order, but only count - no per-solution allocation at all when [keep]
-   is absent).  Engine runners return [(raw solutions, count)]; in
-   counting mode the list stays empty. *)
-let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~collect =
-  let idx = Sublattice.index period in
-  let anchors = Sublattice.cosets period in
-  let placements =
-    List.concat
-      (List.mapi
-         (fun k p ->
-           let cells = Prototile.cells p in
-           List.filter_map
-             (fun o ->
-               let ids = List.map (fun n -> Sublattice.coset_id period (Vec.add o n)) cells in
-               let sorted = List.sort_uniq Stdlib.compare ids in
-               (* Self-overlap on the torus = T2 violation in Z^d. *)
-               if List.length sorted <> List.length ids then None
-               else Some { piece = k; anchor = o; covers = ids })
-             anchors)
-         prototiles)
-  in
-  let placement_arr = Array.of_list placements in
-  let n_pl = Array.length placement_arr in
-  (* Raw solutions are arrays of placement indices in traversal
-     (chronological) order - one contiguous allocation per solution,
-     where cons-list recording cost as much as the whole search on
-     solution-dense workloads (EXP-P2).  The solver guarantees an exact
-     cover and has each placement's coset ids at hand, so conversion
-     goes through [Multi.of_search_cover] - coverage is re-checked with
-     array writes, but no coset arithmetic is redone.  [pl_pair] holds
-     each placement's [(anchor, covers)] pair preallocated, so building
-     the constructor's input just conses existing pairs. *)
-  let pl_pair = Array.map (fun pl -> (pl.anchor, pl.covers)) placement_arr in
-  let pl_piece = Array.map (fun pl -> pl.piece) placement_arr in
-  let to_multi sol =
-    let n = Array.length sol in
-    let rec mine k i =
-      if i >= n then []
-      else
-        let q = Array.unsafe_get sol i in
-        if Array.unsafe_get pl_piece q = k then Array.unsafe_get pl_pair q :: mine k (i + 1)
-        else mine k (i + 1)
-    in
-    let rec per_piece k = function
-      | [] -> []
-      | p :: ps -> (
-        match mine k 0 with
-        | [] -> per_piece (k + 1) ps
-        | placements -> (p, placements) :: per_piece (k + 1) ps)
-    in
-    Multi.of_search_cover ~period (per_piece 0 prototiles)
-  in
+(* The exact-cover kernel: the one solver behind [cover_torus],
+   [count_torus_covers] and [cover_region].  The problem is abstract -
+   cells [0 .. cells-1] and placement [footprints] (cell lists) in
+   branching order - and raw solutions are arrays of placement indices in
+   traversal (chronological) order: one contiguous allocation per
+   solution, where cons-list recording cost as much as the whole search on
+   solution-dense workloads (EXP-P2).  Returns [(raw solutions, count)]:
+   with [collect] the first [max_solutions] solutions in enumeration
+   order; without it the list stays empty and only the count is kept -
+   no per-solution allocation at all when [keep] is absent.  Without a
+   [pool] of more than one domain the search is sequential. *)
+let exact_cover ?pool ?(sched = `Static) ~cells:idx ~footprints ?keep ~max_solutions ~collect
+    () =
+  let n_pl = Array.length footprints in
   (* Only solutions passing [keep] are recorded or counted against the
-     budget, in every engine and every subtree of the parallel split -
-     so filtered searches keep the same prefix/identity guarantees. *)
-  let keep_raw = match keep with None -> fun _ -> true | Some f -> fun sol -> f (to_multi sol) in
+     budget, in every subtree of the parallel split - so filtered
+     searches keep the same prefix/identity guarantees. *)
+  let keep_raw = match keep with None -> fun _ -> true | Some f -> f in
   (* Merge of the parallel split's per-subtree [(solutions, count)]
      results, in branch order - identical to the sequential list for any
      pool size (each subtree enumerates in sequential order, and the
@@ -153,73 +110,165 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
     end
     else ([], List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 chunks)
   in
-  (* Root-candidate task distribution for the oracle engines under
-     [`Steal]: whole root subtrees migrate between deques (no lazy
-     splitting - the oracles stay simple), which already fixes the
-     static split's worst case of one domain drawing several fat
-     subtrees. *)
-  let pmap : 'a 'b. ('a -> 'b) -> 'a array -> 'b array =
-   fun f xs ->
-    match sched with
-    | `Static -> Parallel.map_array ~sched:`Static pool f xs
-    | `Steal -> Parallel.steal_map_array pool f xs
-  in
   (* Empty universe: the empty placement set is the one exact cover. *)
   let trivial_root () =
     if not (keep_raw [||]) then ([], 0) else if collect then ([ [||] ], 1) else ([], 1)
   in
-  (* by_cell.(c) = placements covering cell c, in placement order -
-     ascending construction order, which is also DLX's row order in a
-     column, so all three engines branch candidates identically. *)
+  (* by_cell.(c) = placements covering cell c, in ascending placement
+     order - the candidate order of every branch. *)
   let by_cell = Array.make idx [] in
-  Array.iteri
-    (fun q pl -> List.iter (fun c -> by_cell.(c) <- q :: by_cell.(c)) pl.covers)
-    placement_arr;
+  Array.iteri (fun q cs -> List.iter (fun c -> by_cell.(c) <- q :: by_cell.(c)) cs) footprints;
   let by_cell = Array.map (fun l -> Array.of_list (List.rev l)) by_cell in
-  let free covered q = List.for_all (fun c -> not covered.(c)) placement_arr.(q).covers in
-  (* Most-constrained uncovered cell and its free placements; every
-     engine branches on this cell first (first strict minimum in cell
-     order), which is what lets the parallel split mirror their
-     sequential traversals. *)
-  let best_cell covered =
-    let best = ref (-1) in
-    let best_cands = ref [||] in
-    let best_n = ref max_int in
-    for c = 0 to idx - 1 do
-      if (not covered.(c)) && !best_n > 0 then begin
-        let cands = Array.of_list (List.filter (free covered) (Array.to_list by_cell.(c))) in
-        let n = Array.length cands in
-        if n < !best_n then begin
-          best := c;
-          best_cands := cands;
-          best_n := n
-        end
+  (* Static tables, precomputed once and shared read-only across tasks:
+     [conflict_list.(q)] = every placement overlapping q, q itself
+     included, as a plain index array; [covers_start]/[covers_flat] =
+     placement footprints flattened CSR-style; [pl_word]/[pl_bit] =
+     each placement's position in the live word array, so the hot loops
+     test and flip single bits with two table reads instead of div/mod
+     or bit scans. *)
+  let bpw = Sys.int_size in
+  let conflict_list =
+    Array.map
+      (fun cs ->
+        let m = Bitset.create n_pl in
+        List.iter (fun c -> Array.iter (fun q -> Bitset.set m q) by_cell.(c)) cs;
+        Array.of_list (Bitset.to_list m))
+      footprints
+  in
+  let covers_start = Array.make (n_pl + 1) 0 in
+  Array.iteri (fun q cs -> covers_start.(q + 1) <- covers_start.(q) + List.length cs) footprints;
+  let covers_flat = Array.make (max 1 covers_start.(n_pl)) 0 in
+  Array.iteri
+    (fun q cs -> List.iteri (fun i c -> covers_flat.(covers_start.(q) + i) <- c) cs)
+    footprints;
+  let pl_word = Array.init n_pl (fun q -> q / bpw) in
+  let pl_bit = Array.init n_pl (fun q -> 1 lsl (q mod bpw)) in
+  let counts0 = Array.map Array.length by_cell in
+  let new_state () =
+    { live = Bitset.full n_pl;
+      counts = Array.copy counts0;
+      cell_next = Array.init (idx + 1) (fun c -> if c = idx then 0 else c + 1);
+      cell_prev = Array.init (idx + 1) (fun c -> if c = 0 then idx else c - 1);
+      undo = Array.make (max 1 n_pl) 0;
+      sp_at = Array.make (idx + 1) 0;
+      chosen = Array.make (max 1 idx) 0;
+      sp = 0;
+      depth = 0 }
+  in
+  (* [place] walks the placed piece's static conflict list, kills the
+     entries still live (one bit test + clear each), pushes them on the
+     undo stack and decrements the counts over their footprints;
+     [unplace] pops its stack frame and reverses both updates.  No bit
+     scanning anywhere - newly-dead placements come out of the static
+     table, not out of the mask.  All index arithmetic is bounds-safe
+     by construction ([r < n_pl], cells in [covers_flat] are [< idx]),
+     so the loops use unsafe accessors - this is the hottest code in
+     the kernel. *)
+  let place st q =
+    let nxt = st.cell_next and prv = st.cell_prev in
+    for j = Array.unsafe_get covers_start q to Array.unsafe_get covers_start (q + 1) - 1 do
+      let c = Array.unsafe_get covers_flat j in
+      let p = Array.unsafe_get prv c and n = Array.unsafe_get nxt c in
+      Array.unsafe_set nxt p n;
+      Array.unsafe_set prv n p
+    done;
+    Array.unsafe_set st.sp_at st.depth st.sp;
+    st.depth <- st.depth + 1;
+    let lw = Bitset.unsafe_words st.live in
+    let counts = st.counts in
+    let undo = st.undo in
+    let cl = Array.unsafe_get conflict_list q in
+    let sp = ref st.sp in
+    for i = 0 to Array.length cl - 1 do
+      let r = Array.unsafe_get cl i in
+      let wi = Array.unsafe_get pl_word r in
+      let b = Array.unsafe_get pl_bit r in
+      let w = Array.unsafe_get lw wi in
+      if w land b <> 0 then begin
+        Array.unsafe_set lw wi (w land lnot b);
+        Array.unsafe_set undo !sp r;
+        incr sp;
+        for j = Array.unsafe_get covers_start r to Array.unsafe_get covers_start (r + 1) - 1
+        do
+          let c = Array.unsafe_get covers_flat j in
+          Array.unsafe_set counts c (Array.unsafe_get counts c - 1)
+        done
       end
     done;
-    (!best, !best_cands)
+    st.sp <- !sp
   in
-  let bt_solve ~covered ~chosen0 ~budget =
+  let unplace st q =
+    st.depth <- st.depth - 1;
+    let sp0 = Array.unsafe_get st.sp_at st.depth in
+    let lw = Bitset.unsafe_words st.live in
+    let counts = st.counts in
+    let undo = st.undo in
+    for t = st.sp - 1 downto sp0 do
+      let r = Array.unsafe_get undo t in
+      let wi = Array.unsafe_get pl_word r in
+      Array.unsafe_set lw wi (Array.unsafe_get lw wi lor Array.unsafe_get pl_bit r);
+      for j = Array.unsafe_get covers_start r to Array.unsafe_get covers_start (r + 1) - 1 do
+        let c = Array.unsafe_get covers_flat j in
+        Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+      done
+    done;
+    st.sp <- sp0;
+    let nxt = st.cell_next and prv = st.cell_prev in
+    (* Relink in reverse unlink order, so the neighbours recorded in
+       each cell's own [prev]/[next] slots are valid again. *)
+    for j = Array.unsafe_get covers_start (q + 1) - 1 downto Array.unsafe_get covers_start q
+    do
+      let c = Array.unsafe_get covers_flat j in
+      let p = Array.unsafe_get prv c and n = Array.unsafe_get nxt c in
+      Array.unsafe_set nxt p c;
+      Array.unsafe_set prv n c
+    done
+  in
+  (* The branching rule - the first strict minimum of the live-candidate
+     count over uncovered cells, in cell order - read straight from the
+     incremental [counts].  The scan may stop at a
+     count <= 1: a later cell can displace a 1 only with a 0, and both
+     choices enumerate nothing (a 0-candidate cell can never be
+     covered again, since counts only decrease along a branch), so the
+     emitted solution sequence is unchanged - only wasted descent is
+     skipped. *)
+  let exception Found_forced in
+  let select st =
+    let nxt = st.cell_next in
+    let counts = st.counts in
+    let best = ref (-1) in
+    let best_n = ref max_int in
+    (try
+       let c = ref (Array.unsafe_get nxt idx) in
+       while !c <> idx do
+         let n = Array.unsafe_get counts !c in
+         if n < !best_n then begin
+           best := !c;
+           best_n := n;
+           if n <= 1 then raise_notrace Found_forced
+         end;
+         c := Array.unsafe_get nxt !c
+       done
+     with Found_forced -> ());
+    !best
+  in
+  (* Record the choice and place it - the entry point for seeding a
+     task's chosen prefix. *)
+  let choose st q =
+    st.chosen.(st.depth) <- q;
+    place st q
+  in
+  let bm_solve st ~budget =
     let solutions = ref [] in
     let count = ref 0 in
-    (* [chosen.(0 .. lvl-1)] is the current branch in chronological
-       order; [chosen0] seeds the prefix for parallel subtree tasks. *)
-    let chosen = Array.make (max 1 idx) 0 in
-    let lvl = ref 0 in
-    List.iter
-      (fun q ->
-        chosen.(!lvl) <- q;
-        incr lvl)
-      chosen0;
+    let chosen = st.chosen in
     let rec solve () =
       if !count >= budget then ()
       else begin
-        let best, best_cands = best_cell covered in
+        let best = select st in
         if best < 0 then begin
-          (* Everything covered.  In counting mode with no filter nothing
-             is materialized at all; with a filter the solution array is
-             still built (the filter needs it) but not retained. *)
           if collect then begin
-            let sol = Array.sub chosen 0 !lvl in
+            let sol = Array.sub chosen 0 st.depth in
             if keep_raw sol then begin
               solutions := sol :: !solutions;
               incr count
@@ -228,522 +277,340 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
           else (
             match keep with
             | None -> incr count
-            | Some _ -> if keep_raw (Array.sub chosen 0 !lvl) then incr count)
+            | Some _ -> if keep_raw (Array.sub chosen 0 st.depth) then incr count)
         end
-        else
-          Array.iter
-            (fun q ->
-              if !count < budget && free covered q then begin
-                List.iter (fun c -> covered.(c) <- true) placement_arr.(q).covers;
-                chosen.(!lvl) <- q;
-                incr lvl;
-                solve ();
-                decr lvl;
-                List.iter (fun c -> covered.(c) <- false) placement_arr.(q).covers
-              end)
-            best_cands
+        else begin
+          (* Branch on the cell's static candidate row, re-testing
+             liveness at visit time: [live] is restored between
+             siblings, so the test equals a per-candidate freeness
+             test against the covered cells - same candidates, same
+             ascending order. *)
+          let cands = Array.unsafe_get by_cell best in
+          let lw = Bitset.unsafe_words st.live in
+          for i = 0 to Array.length cands - 1 do
+            let q = Array.unsafe_get cands i in
+            if
+              !count < budget
+              && Array.unsafe_get lw (Array.unsafe_get pl_word q)
+                 land Array.unsafe_get pl_bit q
+                 <> 0
+            then begin
+              Array.unsafe_set chosen st.depth q;
+              place st q;
+              solve ();
+              unplace st q
+            end
+          done
+        end
       end
     in
     solve ();
     (List.rev !solutions, !count)
   in
-  (* Parallel split, shared by all engines: branch on the root cell, give
-     each candidate placement its own domain-local subtree, and merge the
-     per-subtree solution lists in branch order.  Every subtree enumerates
-     in the sequential engine's order and sequential search takes a prefix
-     of each subtree in turn, so the merged, truncated list is identical
-     to the sequential result - for any pool size. *)
-  let bt_parallel () =
-    let root, cands = best_cell (Array.make idx false) in
-    if root < 0 then trivial_root ()
-    else
-      merge_parts
-        (pmap
-           (fun q ->
-             let covered = Array.make idx false in
-             List.iter (fun c -> covered.(c) <- true) placement_arr.(q).covers;
-             bt_solve ~covered ~chosen0:[ q ] ~budget:max_solutions)
-           cands)
-  in
-  let rows = List.map (fun pl -> pl.covers) placements in
-  let dlx_keep =
-    match keep with
-    | None -> None
-    | Some _ -> Some (fun sol -> keep_raw (Array.of_list sol))
-  in
-  (* DLX emits placement-index lists already filtered by [dlx_keep]. *)
-  let dlx_results l =
-    if collect then (List.map Array.of_list l, List.length l) else ([], List.length l)
-  in
-  let dlx_parallel () =
-    let root, _ = best_cell (Array.make idx false) in
-    if root < 0 then trivial_root ()
-    else
-      (* Rows of the root column in insertion order = DLX's branch order. *)
-      merge_parts
-        (pmap
-           (fun r ->
-             let problem = Dlx.create ~universe:idx rows in
-             dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep ~forced:[ r ] problem))
-           by_cell.(root))
-  in
-  (* ---- [`Bitmask] engine -------------------------------------------- *)
-  (* Static tables, precomputed once and shared read-only across tasks:
-     [conflict_list.(q)] = every placement overlapping q, q itself
-     included, as a plain index array; [covers_start]/[covers_flat] =
-     placement footprints flattened CSR-style; [pl_word]/[pl_bit] and
-     [cell_word]/[cell_bit] = each index's position in the live /
-     uncovered word arrays, so the hot loops test and flip single bits
-     with two table reads instead of div/mod or bit scans. *)
-  let bm_run () =
-    let bpw = Sys.int_size in
-    let conflict_list =
-      Array.map
-        (fun pl ->
-          let m = Bitset.create n_pl in
-          List.iter (fun c -> Array.iter (fun q -> Bitset.set m q) by_cell.(c)) pl.covers;
-          Array.of_list (Bitset.to_list m))
-        placement_arr
-    in
-    let covers_start = Array.make (n_pl + 1) 0 in
-    Array.iteri
-      (fun q pl -> covers_start.(q + 1) <- covers_start.(q) + List.length pl.covers)
-      placement_arr;
-    let covers_flat = Array.make (max 1 covers_start.(n_pl)) 0 in
-    Array.iteri
-      (fun q pl -> List.iteri (fun i c -> covers_flat.(covers_start.(q) + i) <- c) pl.covers)
-      placement_arr;
-    let pl_word = Array.init n_pl (fun q -> q / bpw) in
-    let pl_bit = Array.init n_pl (fun q -> 1 lsl (q mod bpw)) in
-    let counts0 = Array.map Array.length by_cell in
-    let new_state () =
-      { live = Bitset.full n_pl;
-        counts = Array.copy counts0;
-        cell_next = Array.init (idx + 1) (fun c -> if c = idx then 0 else c + 1);
-        cell_prev = Array.init (idx + 1) (fun c -> if c = 0 then idx else c - 1);
-        undo = Array.make (max 1 n_pl) 0;
-        sp_at = Array.make (idx + 1) 0;
-        chosen = Array.make (max 1 idx) 0;
-        sp = 0;
-        depth = 0 }
-    in
-    (* [place] walks the placed piece's static conflict list, kills the
-       entries still live (one bit test + clear each), pushes them on the
-       undo stack and decrements the counts over their footprints;
-       [unplace] pops its stack frame and reverses both updates.  No bit
-       scanning anywhere - newly-dead placements come out of the static
-       table, not out of the mask.  All index arithmetic is bounds-safe
-       by construction ([r < n_pl], cells in [covers_flat] are [< idx]),
-       so the loops use unsafe accessors - this is the hottest code in
-       the engine. *)
-    let place st q =
-      let nxt = st.cell_next and prv = st.cell_prev in
-      for j = Array.unsafe_get covers_start q to Array.unsafe_get covers_start (q + 1) - 1 do
-        let c = Array.unsafe_get covers_flat j in
-        let p = Array.unsafe_get prv c and n = Array.unsafe_get nxt c in
-        Array.unsafe_set nxt p n;
-        Array.unsafe_set prv n p
-      done;
-      Array.unsafe_set st.sp_at st.depth st.sp;
-      st.depth <- st.depth + 1;
-      let lw = Bitset.unsafe_words st.live in
-      let counts = st.counts in
-      let undo = st.undo in
-      let cl = Array.unsafe_get conflict_list q in
-      let sp = ref st.sp in
-      for i = 0 to Array.length cl - 1 do
-        let r = Array.unsafe_get cl i in
-        let wi = Array.unsafe_get pl_word r in
-        let b = Array.unsafe_get pl_bit r in
-        let w = Array.unsafe_get lw wi in
-        if w land b <> 0 then begin
-          Array.unsafe_set lw wi (w land lnot b);
-          Array.unsafe_set undo !sp r;
-          incr sp;
-          for j = Array.unsafe_get covers_start r to Array.unsafe_get covers_start (r + 1) - 1
-          do
-            let c = Array.unsafe_get covers_flat j in
-            Array.unsafe_set counts c (Array.unsafe_get counts c - 1)
-          done
-        end
-      done;
-      st.sp <- !sp
-    in
-    let unplace st q =
-      st.depth <- st.depth - 1;
-      let sp0 = Array.unsafe_get st.sp_at st.depth in
-      let lw = Bitset.unsafe_words st.live in
-      let counts = st.counts in
-      let undo = st.undo in
-      for t = st.sp - 1 downto sp0 do
-        let r = Array.unsafe_get undo t in
-        let wi = Array.unsafe_get pl_word r in
-        Array.unsafe_set lw wi (Array.unsafe_get lw wi lor Array.unsafe_get pl_bit r);
-        for j = Array.unsafe_get covers_start r to Array.unsafe_get covers_start (r + 1) - 1 do
-          let c = Array.unsafe_get covers_flat j in
-          Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
-        done
-      done;
-      st.sp <- sp0;
-      let nxt = st.cell_next and prv = st.cell_prev in
-      (* Relink in reverse unlink order, so the neighbours recorded in
-         each cell's own [prev]/[next] slots are valid again. *)
-      for j = Array.unsafe_get covers_start (q + 1) - 1 downto Array.unsafe_get covers_start q
-      do
-        let c = Array.unsafe_get covers_flat j in
-        let p = Array.unsafe_get prv c and n = Array.unsafe_get nxt c in
-        Array.unsafe_set nxt p c;
-        Array.unsafe_set prv n c
-      done
-    in
-    (* Same selection rule as [best_cell] - the first strict minimum of
-       the candidate count over uncovered cells, in cell order - read
-       straight from the incremental [counts].  The scan may stop at a
-       count <= 1: a later cell can displace a 1 only with a 0, and both
-       choices enumerate nothing (a 0-candidate cell can never be
-       covered again, since counts only decrease along a branch), so the
-       emitted solution sequence is unchanged - only wasted descent is
-       skipped. *)
-    let exception Found_forced in
-    let select st =
-      let nxt = st.cell_next in
-      let counts = st.counts in
-      let best = ref (-1) in
-      let best_n = ref max_int in
-      (try
-         let c = ref (Array.unsafe_get nxt idx) in
-         while !c <> idx do
-           let n = Array.unsafe_get counts !c in
-           if n < !best_n then begin
-             best := !c;
-             best_n := n;
-             if n <= 1 then raise_notrace Found_forced
-           end;
-           c := Array.unsafe_get nxt !c
-         done
-       with Found_forced -> ());
-      !best
-    in
-    (* Record the choice and place it - the entry point for seeding a
-       task's chosen prefix. *)
-    let choose st q =
-      st.chosen.(st.depth) <- q;
-      place st q
-    in
-    let bm_solve st ~budget =
-      let solutions = ref [] in
-      let count = ref 0 in
-      let chosen = st.chosen in
-      let rec solve () =
-        if !count >= budget then ()
-        else begin
-          let best = select st in
-          if best < 0 then begin
-            if collect then begin
-              let sol = Array.sub chosen 0 st.depth in
-              if keep_raw sol then begin
-                solutions := sol :: !solutions;
-                incr count
-              end
-            end
-            else (
-              match keep with
-              | None -> incr count
-              | Some _ -> if keep_raw (Array.sub chosen 0 st.depth) then incr count)
-          end
-          else begin
-            (* Branch on the cell's static candidate row, re-testing
-               liveness at visit time: [live] is restored between
-               siblings, so the test equals the list engine's
-               per-candidate freeness test - same candidates, same
-               ascending order. *)
-            let cands = Array.unsafe_get by_cell best in
-            let lw = Bitset.unsafe_words st.live in
-            for i = 0 to Array.length cands - 1 do
-              let q = Array.unsafe_get cands i in
-              if
-                !count < budget
-                && Array.unsafe_get lw (Array.unsafe_get pl_word q)
-                   land Array.unsafe_get pl_bit q
-                   <> 0
-              then begin
-                Array.unsafe_set chosen st.depth q;
-                place st q;
-                solve ();
-                unplace st q
-              end
-            done
-          end
-        end
-      in
-      solve ();
-      (List.rev !solutions, !count)
-    in
-    (* ---- the lazy-splitting steal path ------------------------------ *)
-    (* A task owns the subtree reached by replaying [replay] and then
-       placing [cand]; [key] is its canonical path (branch positions
-       from the root).  The task re-solves with an explicit frame stack
-       mirroring the recursion of [bm_solve] - same selection rule, same
-       candidate order, same liveness test at visit time - so its
-       enumeration order is exactly the sequential engine's within the
-       subtree.  When a thief starves ([should_split]), the task gives
-       away the untried candidate positions of its SHALLOWEST open frame
-       (the biggest remaining pieces of its subtree) as fresh tasks,
-       closes its current result chunk, and continues; the chunk keys
-       are built so that sorting all chunks by key reproduces the
-       sequential solution order (see DESIGN 12).
+  (* ---- the lazy-splitting steal path ------------------------------ *)
+  (* A task owns the subtree reached by replaying [replay] and then
+     placing [cand]; [key] is its canonical path (branch positions
+     from the root).  The task re-solves with an explicit frame stack
+     mirroring the recursion of [bm_solve] - same selection rule, same
+     candidate order, same liveness test at visit time - so its
+     enumeration order is exactly the sequential search's within the
+     subtree.  When a thief starves ([should_split]), the task gives
+     away the untried candidate positions of its SHALLOWEST open frame
+     (the biggest remaining pieces of its subtree) as fresh tasks,
+     closes its current result chunk, and continues; the chunk keys
+     are built so that sorting all chunks by key reproduces the
+     sequential solution order (see DESIGN 12).
 
-       Budget safety: each task caps its own output at [max_solutions].
-       That never loses a needed solution - a task's stream is a
-       subsequence of the global enumeration, and any member of the
-       global first-[m] prefix is within the first [m] of every
-       subsequence containing it. *)
-    let rec bm_task ctx ~replay ~cand ~key =
-      let st = new_state () in
-      Array.iter (fun p -> choose st p) replay;
-      (* Liveness in the REPLAYED context (parent placements only) is
-         exactly the sequential visit-time test for this branch. *)
-      if not (Bitset.mem st.live cand) then []
-      else begin
-        choose st cand;
-        bm_solve_steal st ctx ~key
-      end
-    and bm_solve_steal st ctx ~key =
-      let budget = max_solutions in
-      let base_depth = st.depth in
-      (* Frame [f] mirrors recursion level [base_depth + f]: the static
-         candidate row it branches on, the position currently placed
-         ([pos], >= 0 whenever a deeper node is active), and the
-         exclusive upper bound [limit] (lowered when a give-away hands
-         the rest of the row to other tasks). *)
-      let frame_cands = Array.make (max 1 idx) [||] in
-      let frame_pos = Array.make (max 1 idx) (-1) in
-      let frame_limit = Array.make (max 1 idx) 0 in
-      let nf = ref 0 in
-      let chunks_rev = ref [] in
-      let cur_key = ref key in
-      let cur_sols = ref [] in
-      let cur_count = ref 0 in
-      let total = ref 0 in
-      let close_chunk () =
-        chunks_rev := (!cur_key, (List.rev !cur_sols, !cur_count)) :: !chunks_rev;
-        cur_sols := [];
-        cur_count := 0
-      in
-      let record () =
-        if collect then begin
-          let sol = Array.sub st.chosen 0 st.depth in
-          if keep_raw sol then begin
-            cur_sols := sol :: !cur_sols;
-            incr cur_count;
-            incr total
-          end
-        end
-        else
-          match keep with
-          | None ->
-            incr cur_count;
-            incr total
-          | Some _ ->
-            if keep_raw (Array.sub st.chosen 0 st.depth) then begin
-              incr cur_count;
-              incr total
-            end
-      in
-      let give_away () =
-        (* The shallowest frame with untried candidates; every open
-           frame has [pos >= 0] here (frames are advanced before the
-           next descent), so [st.chosen] holds one placement per frame. *)
-        let fi = ref (-1) in
-        (try
-           for f = 0 to !nf - 1 do
-             if frame_pos.(f) + 1 < frame_limit.(f) then begin
-               fi := f;
-               raise_notrace Exit
-             end
-           done
-         with Exit -> ());
-        if !fi >= 0 then begin
-          let f = !fi in
-          let cands = frame_cands.(f) in
-          let replay = Array.sub st.chosen 0 (base_depth + f) in
-          let prefix = ref [] in
-          for j = f - 1 downto 0 do
-            prefix := frame_pos.(j) :: !prefix
-          done;
-          let prefix = !prefix in
-          for t = frame_pos.(f) + 1 to frame_limit.(f) - 1 do
-            let q = cands.(t) in
-            let k = key @ prefix @ [ t ] in
-            Parallel.Steal.spawn ctx ~key:k (fun ctx -> bm_task ctx ~replay ~cand:q ~key:k)
-          done;
-          frame_limit.(f) <- frame_pos.(f) + 1;
-          (* Everything this task still enumerates lives under the
-             branch at position [pos f]; start a chunk keyed there, so
-             it sorts after the closed chunk (its key extends the old
-             one) and before every spawned sibling ([pos f] < [t]). *)
-          close_chunk ();
-          cur_key := key @ prefix @ [ frame_pos.(f) ]
-        end
-      in
-      let descend = ref true in
-      let running = ref true in
-      while !running do
-        if !total >= budget then running := false
-        else if !descend then begin
-          if Parallel.Steal.should_split ctx then give_away ();
-          let best = select st in
-          if best < 0 then begin
-            record ();
-            descend := false
-          end
-          else begin
-            let f = !nf in
-            frame_cands.(f) <- Array.unsafe_get by_cell best;
-            frame_pos.(f) <- -1;
-            frame_limit.(f) <- Array.length frame_cands.(f);
-            nf := f + 1;
-            descend := false
-          end
-        end
-        else if !nf = 0 then running := false
-        else begin
-          (* Retreat: unplace the top frame's placement (if any) and
-             advance it to its next live candidate, or pop it. *)
-          let f = !nf - 1 in
-          if frame_pos.(f) >= 0 then unplace st frame_cands.(f).(frame_pos.(f));
-          let cands = frame_cands.(f) in
-          let limit = frame_limit.(f) in
-          let lw = Bitset.unsafe_words st.live in
-          let p = ref (frame_pos.(f) + 1) in
-          let found = ref false in
-          while (not !found) && !p < limit do
-            let q = Array.unsafe_get cands !p in
-            if
-              Array.unsafe_get lw (Array.unsafe_get pl_word q)
-              land Array.unsafe_get pl_bit q
-              <> 0
-            then found := true
-            else incr p
-          done;
-          if !found then begin
-            frame_pos.(f) <- !p;
-            choose st cands.(!p);
-            descend := true
-          end
-          else nf := f
-        end
-      done;
-      close_chunk ();
-      List.rev !chunks_rev
-    in
-    let bm_steal () =
-      let st0 = new_state () in
-      let root = select st0 in
-      if root < 0 then trivial_root ()
-      else begin
-        let cands = by_cell.(root) in
-        (* Cost model for LPT seeding: placements left alive after each
-           root choice, read off the incrementally maintained live set -
-           a one-place/one-unplace probe per candidate. *)
-        let weights =
-          Array.map
-            (fun q ->
-              place st0 q;
-              let w = float_of_int (Bitset.popcount st0.live) in
-              unplace st0 q;
-              w)
-            cands
-        in
-        let tasks =
-          Array.mapi
-            (fun i q -> ([ i ], fun ctx -> bm_task ctx ~replay:[||] ~cand:q ~key:[ i ]))
-            cands
-        in
-        merge_chunks (Parallel.Steal.run pool ~weights tasks)
-      end
-    in
-    let jobs = Parallel.jobs pool in
-    if jobs <= 1 then bm_solve (new_state ()) ~budget:max_solutions
-    else if sched = `Steal then bm_steal ()
+     Budget safety: each task caps its own output at [max_solutions].
+     That never loses a needed solution - a task's stream is a
+     subsequence of the global enumeration, and any member of the
+     global first-[m] prefix is within the first [m] of every
+     subsequence containing it. *)
+  let rec bm_task ctx ~replay ~cand ~key =
+    let st = new_state () in
+    Array.iter (fun p -> choose st p) replay;
+    (* Liveness in the REPLAYED context (parent placements only) is
+       exactly the sequential visit-time test for this branch. *)
+    if not (Bitset.mem st.live cand) then []
     else begin
-      let st0 = new_state () in
-      let root = select st0 in
-      if root < 0 then trivial_root ()
-      else if Array.length by_cell.(root) >= 2 * jobs then
-        (* One task per root candidate, merged in branch order. *)
-        merge_parts
-          (Parallel.map_array ~sched:`Static pool
-             (fun q ->
-               let st = new_state () in
-               choose st q;
-               bm_solve st ~budget:max_solutions)
-             by_cell.(root))
+      choose st cand;
+      bm_solve_steal st ctx ~key
+    end
+  and bm_solve_steal st ctx ~key =
+    let budget = max_solutions in
+    let base_depth = st.depth in
+    (* Frame [f] mirrors recursion level [base_depth + f]: the static
+       candidate row it branches on, the position currently placed
+       ([pos], >= 0 whenever a deeper node is active), and the
+       exclusive upper bound [limit] (lowered when a give-away hands
+       the rest of the row to other tasks). *)
+    let frame_cands = Array.make (max 1 idx) [||] in
+    let frame_pos = Array.make (max 1 idx) (-1) in
+    let frame_limit = Array.make (max 1 idx) 0 in
+    let nf = ref 0 in
+    let chunks_rev = ref [] in
+    let cur_key = ref key in
+    let cur_sols = ref [] in
+    let cur_count = ref 0 in
+    let total = ref 0 in
+    let close_chunk () =
+      chunks_rev := (!cur_key, (List.rev !cur_sols, !cur_count)) :: !chunks_rev;
+      cur_sols := [];
+      cur_count := 0
+    in
+    let record () =
+      if collect then begin
+        let sol = Array.sub st.chosen 0 st.depth in
+        if keep_raw sol then begin
+          cur_sols := sol :: !cur_sols;
+          incr cur_count;
+          incr total
+        end
+      end
+      else
+        match keep with
+        | None ->
+          incr cur_count;
+          incr total
+        | Some _ ->
+          if keep_raw (Array.sub st.chosen 0 st.depth) then begin
+            incr cur_count;
+            incr total
+          end
+    in
+    let give_away () =
+      (* The shallowest frame with untried candidates; every open
+         frame has [pos >= 0] here (frames are advanced before the
+         next descent), so [st.chosen] holds one placement per frame. *)
+      let fi = ref (-1) in
+      (try
+         for f = 0 to !nf - 1 do
+           if frame_pos.(f) + 1 < frame_limit.(f) then begin
+             fi := f;
+             raise_notrace Exit
+           end
+         done
+       with Exit -> ());
+      if !fi >= 0 then begin
+        let f = !fi in
+        let cands = frame_cands.(f) in
+        let replay = Array.sub st.chosen 0 (base_depth + f) in
+        let prefix = ref [] in
+        for j = f - 1 downto 0 do
+          prefix := frame_pos.(j) :: !prefix
+        done;
+        let prefix = !prefix in
+        for t = frame_pos.(f) + 1 to frame_limit.(f) - 1 do
+          let q = cands.(t) in
+          let k = key @ prefix @ [ t ] in
+          Parallel.Steal.spawn ctx ~key:k (fun ctx -> bm_task ctx ~replay ~cand:q ~key:k)
+        done;
+        frame_limit.(f) <- frame_pos.(f) + 1;
+        (* Everything this task still enumerates lives under the
+           branch at position [pos f]; start a chunk keyed there, so
+           it sorts after the closed chunk (its key extends the old
+           one) and before every spawned sibling ([pos f] < [t]). *)
+        close_chunk ();
+        cur_key := key @ prefix @ [ frame_pos.(f) ]
+      end
+    in
+    let descend = ref true in
+    let running = ref true in
+    while !running do
+      if !total >= budget then running := false
+      else if !descend then begin
+        if Parallel.Steal.should_split ctx then give_away ();
+        let best = select st in
+        if best < 0 then begin
+          record ();
+          descend := false
+        end
+        else begin
+          let f = !nf in
+          frame_cands.(f) <- Array.unsafe_get by_cell best;
+          frame_pos.(f) <- -1;
+          frame_limit.(f) <- Array.length frame_cands.(f);
+          nf := f + 1;
+          descend := false
+        end
+      end
+      else if !nf = 0 then running := false
       else begin
-        (* Too few root branches to occupy the pool: split two levels
-           deep.  The task list is expanded sequentially in traversal
-           order (place q; branch on the next selected cell; unplace), so
-           concatenating per-task results still reproduces the sequential
-           enumeration. *)
-        let tasks = ref [] in
-        Array.iter
+        (* Retreat: unplace the top frame's placement (if any) and
+           advance it to its next live candidate, or pop it. *)
+        let f = !nf - 1 in
+        if frame_pos.(f) >= 0 then unplace st frame_cands.(f).(frame_pos.(f));
+        let cands = frame_cands.(f) in
+        let limit = frame_limit.(f) in
+        let lw = Bitset.unsafe_words st.live in
+        let p = ref (frame_pos.(f) + 1) in
+        let found = ref false in
+        while (not !found) && !p < limit do
+          let q = Array.unsafe_get cands !p in
+          if
+            Array.unsafe_get lw (Array.unsafe_get pl_word q)
+            land Array.unsafe_get pl_bit q
+            <> 0
+          then found := true
+          else incr p
+        done;
+        if !found then begin
+          frame_pos.(f) <- !p;
+          choose st cands.(!p);
+          descend := true
+        end
+        else nf := f
+      end
+    done;
+    close_chunk ();
+    List.rev !chunks_rev
+  in
+  let bm_steal pool =
+    let st0 = new_state () in
+    let root = select st0 in
+    if root < 0 then trivial_root ()
+    else begin
+      let cands = by_cell.(root) in
+      (* Cost model for LPT seeding: placements left alive after each
+         root choice, read off the incrementally maintained live set -
+         a one-place/one-unplace probe per candidate. *)
+      let weights =
+        Array.map
           (fun q ->
             place st0 q;
-            let c2 = select st0 in
-            if c2 < 0 then tasks := `Leaf q :: !tasks
-            else
-              Array.iter
-                (fun r -> if Bitset.mem st0.live r then tasks := `Branch (q, r) :: !tasks)
-                by_cell.(c2);
-            unplace st0 q)
-          by_cell.(root);
-        let tasks = Array.of_list (List.rev !tasks) in
-        merge_parts
-          (Parallel.map_array ~sched:`Static pool
-             (fun task ->
-               match task with
-               | `Leaf q ->
-                 if not (keep_raw [| q |]) then ([], 0)
-                 else if collect then ([ [| q |] ], 1)
-                 else ([], 1)
-               | `Branch (q, r) ->
-                 let st = new_state () in
-                 choose st q;
-                 choose st r;
-                 bm_solve st ~budget:max_solutions)
-             tasks)
-      end
+            let w = float_of_int (Bitset.popcount st0.live) in
+            unplace st0 q;
+            w)
+          cands
+      in
+      let tasks =
+        Array.mapi
+          (fun i q -> ([ i ], fun ctx -> bm_task ctx ~replay:[||] ~cand:q ~key:[ i ]))
+          cands
+      in
+      merge_chunks (Parallel.Steal.run pool ~weights tasks)
     end
   in
-  let raw_solutions, total =
-    match engine with
-    | `Bitmask -> bm_run ()
-    | `Backtracking ->
-      if Parallel.jobs pool > 1 then bt_parallel ()
-      else bt_solve ~covered:(Array.make idx false) ~chosen0:[] ~budget:max_solutions
-    | `Dlx ->
-      if Parallel.jobs pool > 1 then dlx_parallel ()
-      else dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep (Dlx.create ~universe:idx rows))
+  let bm_static pool =
+    let jobs = Parallel.jobs pool in
+    let st0 = new_state () in
+    let root = select st0 in
+    if root < 0 then trivial_root ()
+    else if Array.length by_cell.(root) >= 2 * jobs then
+      (* One task per root candidate, merged in branch order. *)
+      merge_parts
+        (Parallel.map_array ~sched:`Static pool
+           (fun q ->
+             let st = new_state () in
+             choose st q;
+             bm_solve st ~budget:max_solutions)
+           by_cell.(root))
+    else begin
+      (* Too few root branches to occupy the pool: split two levels
+         deep.  The task list is expanded sequentially in traversal
+         order (place q; branch on the next selected cell; unplace), so
+         concatenating per-task results still reproduces the sequential
+         enumeration. *)
+      let tasks = ref [] in
+      Array.iter
+        (fun q ->
+          place st0 q;
+          let c2 = select st0 in
+          if c2 < 0 then tasks := `Leaf q :: !tasks
+          else
+            Array.iter
+              (fun r -> if Bitset.mem st0.live r then tasks := `Branch (q, r) :: !tasks)
+              by_cell.(c2);
+          unplace st0 q)
+        by_cell.(root);
+      let tasks = Array.of_list (List.rev !tasks) in
+      merge_parts
+        (Parallel.map_array ~sched:`Static pool
+           (fun task ->
+             match task with
+             | `Leaf q ->
+               if not (keep_raw [| q |]) then ([], 0)
+               else if collect then ([ [| q |] ], 1)
+               else ([], 1)
+             | `Branch (q, r) ->
+               let st = new_state () in
+               choose st q;
+               choose st r;
+               bm_solve st ~budget:max_solutions)
+           tasks)
+    end
   in
-  if collect then `Sols (List.map to_multi raw_solutions) else `Count total
+  match pool with
+  | Some pool when Parallel.jobs pool > 1 ->
+    if sched = `Steal then bm_steal pool else bm_static pool
+  | _ -> bm_solve (new_state ()) ~budget:max_solutions
 
-let cover_torus ~period ~prototiles ?(max_solutions = 64) ?(engine = `Bitmask) ?keep ?pool
-    ?sched () =
+(* Shared implementation of [cover_torus] (collect = true: materialized
+   [Multi.t] solutions) and [count_torus_covers] (collect = false): the
+   quotient as a kernel problem - every translate of every prototile by a
+   coset representative, prototile-major, minus the self-overlapping
+   ones - solved by [exact_cover], returning [(solutions, count)]. *)
+let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~sched ~collect =
+  let anchors = Sublattice.cosets period in
+  let placements =
+    List.concat
+      (List.mapi
+         (fun k p ->
+           let cells = Prototile.cells p in
+           List.filter_map
+             (fun o ->
+               let ids = List.map (fun n -> Sublattice.coset_id period (Vec.add o n)) cells in
+               let sorted = List.sort_uniq Stdlib.compare ids in
+               (* Self-overlap on the torus = T2 violation in Z^d. *)
+               if List.length sorted <> List.length ids then None
+               else Some { piece = k; anchor = o; covers = ids })
+             anchors)
+         prototiles)
+  in
+  let placement_arr = Array.of_list placements in
+  (* The kernel guarantees an exact cover and each placement's coset ids
+     are at hand, so conversion goes through [Multi.of_search_cover] -
+     coverage is re-checked with array writes, but no coset arithmetic is
+     redone.  [pl_pair] holds each placement's [(anchor, covers)] pair
+     preallocated, so building the constructor's input just conses
+     existing pairs. *)
+  let pl_pair = Array.map (fun pl -> (pl.anchor, pl.covers)) placement_arr in
+  let pl_piece = Array.map (fun pl -> pl.piece) placement_arr in
+  let to_multi sol =
+    let n = Array.length sol in
+    let rec mine k i =
+      if i >= n then []
+      else
+        let q = Array.unsafe_get sol i in
+        if Array.unsafe_get pl_piece q = k then Array.unsafe_get pl_pair q :: mine k (i + 1)
+        else mine k (i + 1)
+    in
+    let rec per_piece k = function
+      | [] -> []
+      | p :: ps -> (
+        match mine k 0 with
+        | [] -> per_piece (k + 1) ps
+        | placements -> (p, placements) :: per_piece (k + 1) ps)
+    in
+    Multi.of_search_cover ~period (per_piece 0 prototiles)
+  in
+  let keep = Option.map (fun f sol -> f (to_multi sol)) keep in
+  let sols, count =
+    exact_cover ~pool ~sched ~cells:(Sublattice.index period)
+      ~footprints:(Array.map (fun pl -> pl.covers) placement_arr)
+      ?keep ~max_solutions ~collect ()
+  in
+  (List.map to_multi sols, count)
+
+let cover_torus ~period ~prototiles ?(max_solutions = 64) ?keep ?pool ?sched () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
-  match torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~collect:true with
-  | `Sols sols -> sols
-  | `Count _ -> assert false
+  fst (torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~sched ~collect:true)
 
-let count_torus_covers ~period ~prototiles ?(engine = `Bitmask) ?pool ?sched () =
+let count_torus_covers ~period ~prototiles ?pool ?sched () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
-  match
-    torus_run ~period ~prototiles ~max_solutions:max_int ~engine ~keep:None ~pool ~sched
-      ~collect:false
-  with
-  | `Count n -> n
-  | `Sols _ -> assert false
+  snd (torus_run ~period ~prototiles ~max_solutions:max_int ~keep:None ~pool ~sched ~collect:false)
 
 let default_factors = [ 1; 2; 3; 4 ]
 
@@ -831,10 +698,9 @@ let canonical_cover_key ~period mt =
       (cover_key ~period ~shift:u0 mt)
       us
 
-let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) ?pool ?sched
-    () =
+let distinct_torus_covers ~period ~prototiles ?max_classes ?pool ?sched () =
   let budget = match max_classes with Some k -> k | None -> max_int in
-  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ~engine ?pool ?sched () in
+  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ?pool ?sched () in
   let seen = Hashtbl.create 64 in
   let reps = ref [] in
   let kept = ref 0 in
@@ -854,10 +720,10 @@ let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) 
 (* --- Exact cover of a finite region -------------------------------------- *)
 
 (* The repair kernel of [lib/lifetime]: cover a finite damaged window by
-   whole prototile translates.  Same branching rule as the torus engines
-   (first strict-minimum uncovered cell, candidates in ascending
-   translation order) on the same Bitset representation, but sequential -
-   repair windows are a few tiles, never a search tree worth splitting.
+   whole prototile translates.  The region becomes a kernel problem -
+   candidates in ascending translation order - solved sequentially by
+   [exact_cover]: repair windows are a few tiles, never a search tree
+   worth splitting.
 
    Plane mode has a striking rigidity: an exact cover of a finite region
    by translates of one prototile is unique when it exists, because the
@@ -892,74 +758,24 @@ let cover_region ~region ~prototile ?torus ?(max_solutions = 64) ?keep () =
     if List.length ids = m && List.length (List.sort_uniq compare ids) = m then Some ids
     else None
   in
-  let anchors =
+  (* Ascending anchors are ascending placement indices, so the kernel
+     branches over candidate translations in [Vec.compare] order. *)
+  let placements =
     List.concat_map (fun c -> List.map (fun n0 -> norm (Vec.sub c n0)) tile_cells) cells
     |> List.sort_uniq Vec.compare
-    |> List.filter (fun t -> tile_ids t <> None)
+    |> List.filter_map (fun t -> Option.map (fun ids -> (t, ids)) (tile_ids t))
     |> Array.of_list
   in
-  let npl = Array.length anchors in
-  let mask =
-    Array.map
-      (fun t ->
-        let b = Bitset.create n in
-        (match tile_ids t with
-        | Some ids -> List.iter (Bitset.set b) ids
-        | None -> assert false);
-        b)
-      anchors
+  let anchors = Array.map fst placements in
+  let to_translations sol =
+    List.sort Vec.compare (Array.to_list (Array.map (fun p -> anchors.(p)) sol))
   in
-  (* cand.(c): placements covering cell c; conf.(p): placements whose
-     masks intersect p's (p included), killed when p is placed. *)
-  let cand = Array.init n (fun _ -> Bitset.create npl) in
-  Array.iteri (fun p m -> Bitset.iter (fun c -> Bitset.set cand.(c) p) m) mask;
-  let conf =
-    Array.init npl (fun p ->
-        let b = Bitset.create npl in
-        for q = 0 to npl - 1 do
-          if not (Bitset.disjoint mask.(p) mask.(q)) then Bitset.set b q
-        done;
-        b)
+  let keep = Option.map (fun f sol -> f (to_translations sol)) keep in
+  let sols, _ =
+    exact_cover ~cells:n ~footprints:(Array.map snd placements) ?keep ~max_solutions
+      ~collect:true ()
   in
-  let keep = match keep with Some f -> f | None -> fun _ -> true in
-  let sols = ref [] in
-  let found = ref 0 in
-  let rec go covered live chosen =
-    if !found >= max_solutions then ()
-    else if Bitset.popcount covered = n then begin
-      let ts = List.sort Vec.compare (List.map (fun p -> anchors.(p)) chosen) in
-      if keep ts then begin
-        incr found;
-        sols := ts :: !sols
-      end
-    end
-    else begin
-      let best = ref (-1) in
-      let best_count = ref max_int in
-      for c = 0 to n - 1 do
-        if not (Bitset.mem covered c) then begin
-          let k = Bitset.inter_popcount cand.(c) live in
-          if k < !best_count then begin
-            best_count := k;
-            best := c
-          end
-        end
-      done;
-      if !best_count > 0 then
-        Bitset.iter
-          (fun p ->
-            if !found < max_solutions && Bitset.mem live p then begin
-              let covered' = Bitset.copy covered in
-              Bitset.union covered' mask.(p);
-              let live' = Bitset.copy live in
-              Bitset.diff live' conf.(p);
-              go covered' live' (p :: chosen)
-            end)
-          cand.(!best)
-    end
-  in
-  go (Bitset.create n) (Bitset.full npl) [];
-  List.rev !sols
+  List.map to_translations sols
 
 let exactness ?torus_factors p =
   match Boundary_word.classify p with

@@ -1,13 +1,13 @@
 (** Finding tilings and deciding exactness (question Q1 of the paper).
 
-    Three engines, by generality:
+    Three searches, by generality:
 
     - {!lattice_tilings}: enumerate all sublattices of index [|N|] and keep
       those for which the prototile's cells form a complete residue
       system.  Finds exactly the tilings with [T] a sublattice.
-    - {!cover_torus}: exact-cover backtracking on a finite quotient
-      [Z^d / Lambda], finding every periodic tiling with that period
-      (including multi-prototile and non-lattice ones, e.g. the S/Z mix of
+    - {!cover_torus}: exact cover of a finite quotient [Z^d / Lambda],
+      finding every periodic tiling with that period (including
+      multi-prototile and non-lattice ones, e.g. the S/Z mix of
       Figure 5).
     - {!exactness}: the decision procedure. For 4-connected 2-D tiles
       the hole test plus the Beauquier-Nivat criterion is complete
@@ -16,7 +16,18 @@
       multiple and report [`Unknown] on exhaustion - the general problem
       is open, and even prime-size prototiles can require non-lattice
       translation sets (e.g. [{0, 2}] in [Z] tiles only with
-      [T = {0,1} + 4Z]). *)
+      [T = {0,1} + 4Z]).
+
+    {!cover_torus}, {!count_torus_covers}, {!distinct_torus_covers} and
+    {!cover_region} share one exact-cover kernel: word-parallel
+    {!Bitset} liveness, precomputed conflict lists, an undo stack and
+    incrementally maintained per-cell candidate counts.  It branches on
+    the first uncovered cell with the fewest live candidates (first
+    strict minimum in cell order) and tries candidates in ascending
+    placement order, so every enumeration order below is deterministic.
+    A plain list backtracker with the same branching rule lives in the
+    test-only [tiling_oracle] library; the tests assert ordered equality
+    with it. *)
 
 val lattice_tilings :
   ?pool:Parallel.pool -> ?sched:Parallel.sched -> Lattice.Prototile.t -> Lattice.Sublattice.t list
@@ -31,27 +42,10 @@ val lattice_tilings :
 
 val find_lattice_tiling : Lattice.Prototile.t -> Single.t option
 
-type engine = [ `Backtracking | `Bitmask | `Dlx ]
-(** Exact-cover solvers behind {!cover_torus}, all enumerating the
-    {e same} solutions in the {e same} order (the differential tests
-    assert list equality, not set equality):
-
-    - [`Bitmask] (the default): word-parallel kernel on {!Bitset} masks.
-      Each placement's cover mask (cells) and conflict mask (overlapping
-      placements) are precomputed once; the live-placement set and
-      per-cell live-candidate counts are updated incrementally on
-      place/unplace, so cell selection is O(cells) integer reads and
-      candidate freeness is one bit test.
-    - [`Backtracking]: the simple most-constrained-cell list
-      backtracker, kept as a differential oracle.
-    - [`Dlx]: Knuth's Algorithm X with dancing links ({!Dlx}), the
-      second oracle. *)
-
 val cover_torus :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?max_solutions:int ->
-  ?engine:engine ->
   ?keep:(Multi.t -> bool) ->
   ?pool:Parallel.pool ->
   ?sched:Parallel.sched ->
@@ -64,34 +58,33 @@ val cover_torus :
     list.
 
     [keep] filters {e during} the search: only solutions it accepts are
-    returned or counted against [max_solutions], in every engine and
-    every parallel subtree, so a filtered search stops as soon as enough
+    returned or counted against [max_solutions], in every parallel
+    subtree, so a filtered search stops as soon as enough
     acceptable covers exist instead of over-sampling (default: keep
     everything).  The result equals
     [List.filter keep (unfiltered enumeration)] truncated to
     [max_solutions].
 
-    All engines share one branching rule - first strict-minimum
-    uncovered cell, candidates in placement order - so they return
-    identical ordered lists; [`Bitmask] is the fast path, the other two
-    are oracles ({!engine}).
+    Placements are ordered prototile-major, then by coset
+    representative ({!Lattice.Sublattice.cosets} order); the kernel
+    branches as described above.
 
     {b Determinism contract.}  With a [pool] of more than one domain
     (default {!Parallel.default}), the search splits at the root
     branching cell - the most constrained cell, which is also the first
-    column the sequential engines branch on - and solves one subtree per
+    cell the sequential search branches on - and solves one subtree per
     candidate placement across the domains.  How subtrees reach domains
     is [sched]'s business (default {!Parallel.default_sched}):
 
     - [`Steal]: root subtrees are seeded over per-worker deques
       longest-first (a live-placement-count cost model) and migrate by
-      work stealing; under [`Bitmask] a running subtree additionally
-      {e re-splits lazily} when a thief starves, giving away the untried
+      work stealing; a running subtree additionally {e re-splits
+      lazily} when a thief starves, giving away the untried
       branches of its shallowest open frame.  Results commit as chunks
       keyed by canonical subtree path and are merged in key order.
-    - [`Static]: the original fixed split (two levels deep for
-      [`Bitmask] when the root has fewer than twice [jobs] candidates),
-      merged in branch order - kept as the differential oracle.
+    - [`Static]: the original fixed split (two levels deep when the
+      root has fewer than twice [jobs] candidates), merged in branch
+      order.
 
     Under both schedulers each subtree enumerates in the sequential
     order and the merge reproduces the sequential consumption order, so
@@ -102,25 +95,23 @@ val cover_torus :
 val count_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
-  ?engine:engine ->
   ?pool:Parallel.pool ->
   ?sched:Parallel.sched ->
   unit ->
   int
 (** Number of exact covers of the quotient - the length of the full
     {!cover_torus} enumeration ([max_solutions = max_int], no [keep]) -
-    without materializing any solution.  The engines traverse exactly
+    without materializing any solution.  The kernel traverses exactly
     the same tree in the same order as {!cover_torus}; skipping
     per-solution recording and {!Multi.t} construction is what makes
     counting the pure measure of search speed (EXP-P2 benches both).
-    Engine and pool semantics are as in {!cover_torus}; every engine and
-    every pool size returns the same count. *)
+    Pool semantics are as in {!cover_torus}; every pool size and
+    scheduler returns the same count. *)
 
 val distinct_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?max_classes:int ->
-  ?engine:engine ->
   ?pool:Parallel.pool ->
   ?sched:Parallel.sched ->
   unit ->
@@ -140,8 +131,8 @@ val distinct_torus_covers :
     these classes are the raw material for duty-cycle rotation
     ([Lifetime.Rotation]).  The underlying enumeration is exhaustive
     ([max_solutions = max_int]), so this is for the small periods
-    rotation actually uses; engine/pool/sched semantics (and
-    determinism) are those of {!cover_torus}. *)
+    rotation actually uses; pool/sched semantics (and determinism) are
+    those of {!cover_torus}. *)
 
 val cover_region :
   region:Zgeom.Vec.t list ->
@@ -156,8 +147,8 @@ val cover_region :
     is the sorted list of translations [t] with the [t + N] partitioning
     the region.  Candidate translations are exactly those with
     [t + N] inside the region, tried in ascending {!Zgeom.Vec.compare}
-    order under the engines' shared branching rule (first strict-minimum
-    uncovered cell), so the enumeration order is deterministic.  [keep]
+    order by the shared kernel (sequentially - repair windows are
+    small), so the enumeration order is deterministic.  [keep]
     filters during the search, as in {!cover_torus}: only accepted
     solutions count against [max_solutions].  Duplicate region cells are
     merged; the empty region is rejected.

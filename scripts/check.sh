@@ -24,6 +24,22 @@ if [ -n "$empty" ]; then
   exit 1
 fi
 
+# The reference exact-cover solver (lib/tiling/oracle) exists for
+# differential tests and benchmarks only: no dune stanza outside test/,
+# bench/ and lib/microbench may list it among its libraries, so it can
+# never drift onto the serving or corpus path.
+oracle_users=$(git ls-files -- 'dune' '*/dune' | while read -r f; do
+  case "$f" in test/dune | bench/dune | lib/microbench/dune) continue ;; esac
+  if tr '\n' ' ' < "$f" | grep -Eq '\(libraries[^)]*[[:space:]]tiling_oracle[[:space:])]'; then
+    echo "$f"
+  fi
+done)
+if [ -n "$oracle_users" ]; then
+  echo "error: tiling_oracle linked outside test/, bench/ and lib/microbench:" >&2
+  echo "$oracle_users" >&2
+  exit 1
+fi
+
 dune build @all
 dune runtest
 

@@ -1,6 +1,6 @@
 (* Tests for the domain pool and for the determinism contract of every
    parallel entry point: at jobs = 1, 2, 4 and 8, under both the static
-   and the work-stealing scheduler, the search engines and the
+   and the work-stealing scheduler, the exact-cover kernel and the
    simulation sweep must return values structurally identical to the
    sequential run - not just equal solution sets, the same lists in the
    same order.  The steal-schedule fuzzer additionally randomizes victim
@@ -105,24 +105,23 @@ let test_lattice_tilings_deterministic () =
 
 let sz_period = lazy (Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |])
 
-let engines : (Tiling.Search.engine * string) list =
-  [ (`Backtracking, "bt"); (`Dlx, "dlx"); (`Bitmask, "bitmask") ]
+let scheds : (Parallel.sched * string) list = [ (`Static, "static"); (`Steal, "steal") ]
 
 let test_cover_torus_deterministic () =
   let period = Lazy.force sz_period in
   let prototiles = [ Prototile.tetromino `S; Prototile.tetromino `Z ] in
   List.iter
-    (fun (engine, ename) ->
+    (fun (sched, sname) ->
       (* Both the truncated list (budget bites mid-merge) and the full
          enumeration must be reproduced. *)
       List.iter
         (fun max_solutions ->
           check_jobs_invariant
-            (Printf.sprintf "cover_torus %s max=%d" ename max_solutions)
+            (Printf.sprintf "cover_torus %s max=%d" sname max_solutions)
             (fun pool ->
-              Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~pool ()))
+              Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~sched ~pool ()))
         [ 7; 50; 1000 ])
-    engines
+    scheds
 
 let test_cover_torus_multi_prototile_deterministic () =
   (* A heterogeneous instance: 2x2 squares plus single-cell fillers on a
@@ -130,25 +129,24 @@ let test_cover_torus_multi_prototile_deterministic () =
   let period = Sublattice.of_basis [| [| 5; 0 |]; [| 0; 2 |] |] in
   let prototiles = [ Prototile.rect 2 2; Prototile.of_cells [ Zgeom.Vec.zero 2 ] ] in
   List.iter
-    (fun (engine, _) ->
+    (fun (sched, _) ->
       check_jobs_invariant "cover_torus squares+singles" (fun pool ->
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:200 ~engine ~pool ()))
-    engines
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:200 ~sched ~pool ()))
+    scheds
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-let scheds : (Parallel.sched * string) list = [ (`Static, "static"); (`Steal, "steal") ]
-
 let test_three_way_engine_oracle () =
-  (* The strongest form of the engine contract: over a randomized corpus
-     of torus instances, all three engines under both schedulers return
-     the same ORDERED solution list, at every pool size, and truncation
-     to any [max_solutions] is a prefix of that list.  Instance
-     generation mirrors test_tiling's differential corpus (one
+  (* The strongest form of the determinism contract: over a randomized
+     corpus of torus instances, the kernel under both schedulers returns
+     the reference backtracker's ORDERED solution list ([Tiling_oracle],
+     an independent sequential solver), at every pool size, and
+     truncation to any [max_solutions] is a prefix of that list.
+     Instance generation mirrors test_tiling's differential corpus (one
      Splitmix64 stream, so a failure replays from the loop index).
      Pools are created once per size: the matrix is
-     scheduler x engine x jobs x prefix, and per-solve domain spawning
-     would dominate it. *)
+     scheduler x jobs x prefix, and per-solve domain spawning would
+     dominate it. *)
   let sm = Prng.Splitmix64.create 2027L in
   let draw bound =
     Int64.to_int (Int64.unsigned_rem (Prng.Splitmix64.next sm) (Int64.of_int bound))
@@ -170,13 +168,10 @@ let test_three_way_engine_oracle () =
           (poly () :: (if draw 2 = 0 then [ poly () ] else []))
           @ [ Prototile.of_cells [ Zgeom.Vec.zero 2 ] ]
         in
-        let solve ~engine ~sched ~pool ~max_solutions =
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~sched ~pool ()
+        let solve ~sched ~pool ~max_solutions =
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~sched ~pool ()
         in
-        let reference =
-          solve ~engine:`Bitmask ~sched:`Static ~pool:(List.assoc 1 pools)
-            ~max_solutions:100_000
-        in
+        let reference = Tiling_oracle.cover_torus ~period ~prototiles ~max_solutions:100_000 () in
         let len = List.length reference in
         (* Every short prefix, then a sparse ladder up to and past the
            full enumeration - the budget must bite correctly at every
@@ -186,49 +181,48 @@ let test_three_way_engine_oracle () =
             (List.filter (fun m -> m >= 1) [ 1; 2; 3; 5; 8; 13; len - 1; len; len + 7 ])
         in
         List.iter
-          (fun (engine, ename) ->
+          (fun (sched, sname) ->
             List.iter
-              (fun (sched, sname) ->
+              (fun (jobs, pool) ->
+                let full = solve ~sched ~pool ~max_solutions:100_000 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "instance %d: %s jobs=%d = oracle" instance sname jobs)
+                  true (full = reference);
                 List.iter
-                  (fun (jobs, pool) ->
-                    let full = solve ~engine ~sched ~pool ~max_solutions:100_000 in
+                  (fun m ->
+                    let truncated = solve ~sched ~pool ~max_solutions:m in
                     Alcotest.(check bool)
-                      (Printf.sprintf "instance %d: %s/%s jobs=%d = reference" instance ename
-                         sname jobs)
-                      true (full = reference);
-                    List.iter
-                      (fun m ->
-                        let truncated = solve ~engine ~sched ~pool ~max_solutions:m in
-                        Alcotest.(check bool)
-                          (Printf.sprintf "instance %d: %s/%s jobs=%d max=%d is a prefix"
-                             instance ename sname jobs m)
-                          true
-                          (truncated = take m reference))
-                      prefixes)
-                  pools)
-              scheds)
-          engines
+                      (Printf.sprintf "instance %d: %s jobs=%d max=%d is a prefix" instance sname
+                         jobs m)
+                      true
+                      (truncated = take m reference))
+                  prefixes)
+              pools)
+          scheds
       done)
 
 let test_count_matches_enumeration () =
-  (* [count_torus_covers] = length of the full [cover_torus] enumeration,
-     for every engine and pool size (the counting path skips all
+  (* [count_torus_covers] = length of the reference backtracker's full
+     enumeration, for the oracle's own counter and for the kernel under
+     both schedulers at every pool size (the counting path skips all
      materialization, so it exercises different code). *)
   let check label ~period ~prototiles =
     let expected =
-      List.length (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ())
+      List.length (Tiling_oracle.cover_torus ~period ~prototiles ~max_solutions:max_int ())
     in
+    Alcotest.(check int) (label ^ ": oracle count") expected
+      (Tiling_oracle.count_torus_covers ~period ~prototiles ());
     List.iter
-      (fun (engine, ename) ->
+      (fun (sched, sname) ->
         List.iter
           (fun jobs ->
             let n =
               Parallel.with_pool ~jobs (fun pool ->
-                  Tiling.Search.count_torus_covers ~period ~prototiles ~engine ~pool ())
+                  Tiling.Search.count_torus_covers ~period ~prototiles ~sched ~pool ())
             in
-            Alcotest.(check int) (Printf.sprintf "%s: %s jobs=%d" label ename jobs) expected n)
+            Alcotest.(check int) (Printf.sprintf "%s: %s jobs=%d" label sname jobs) expected n)
           [ 1; 2; 4 ])
-      engines
+      scheds
   in
   check "S/Z 4x4" ~period:(Lazy.force sz_period)
     ~prototiles:[ Prototile.tetromino `S; Prototile.tetromino `Z ];
@@ -247,7 +241,7 @@ let test_count_matches_enumeration () =
    spawned tasks are keyed by their start index, so key order is numeric
    order and the merged output must be the plain 0..n-1 enumeration no
    matter how the range was carved up.  This is the same
-   key-the-continuation discipline the bitmask engine uses, in the
+   key-the-continuation discipline the exact-cover kernel uses, in the
    smallest form that still exercises it. *)
 let rec range_body ~leaf ~lo ~hi ctx =
   let hi = ref hi in

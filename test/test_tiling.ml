@@ -159,106 +159,33 @@ let test_multi_rejects_empty_piece () =
   | Ok _ -> Alcotest.fail "empty piece accepted"
   | Error _ -> ()
 
-(* --- Dlx --- *)
-
-let test_dlx_basic () =
-  (* Knuth's classic example: universe {0..6}, 6 subsets, one solution
-     {B, D, F} = indices {1, 3, 5}. *)
-  let problem =
-    Tiling.Dlx.create ~universe:7
-      [ [ 2; 4; 5 ]; [ 0; 3; 6 ]; [ 1; 2; 5 ]; [ 0; 3 ]; [ 1; 6 ]; [ 3; 4; 6 ] ]
-  in
-  Alcotest.(check (list (list int))) "unique solution" [ [ 0; 3; 4 ] ]
-    (Tiling.Dlx.solve problem)
-
-let test_dlx_no_solution () =
-  let problem = Tiling.Dlx.create ~universe:3 [ [ 0; 1 ]; [ 1; 2 ] ] in
-  Alcotest.(check (list (list int))) "no cover" [] (Tiling.Dlx.solve problem)
-
-let test_dlx_counts () =
-  (* Universe {0,1} with subsets {0},{1},{0,1}: two covers. *)
-  let problem = Tiling.Dlx.create ~universe:2 [ [ 0 ]; [ 1 ]; [ 0; 1 ] ] in
-  Alcotest.(check int) "two covers" 2 (Tiling.Dlx.count problem);
-  Alcotest.(check int) "limit respected" 1 (Tiling.Dlx.count ~limit:1 problem)
-
-let test_dlx_empty_universe () =
-  let problem = Tiling.Dlx.create ~universe:0 [] in
-  Alcotest.(check (list (list int))) "empty cover of nothing" [ [] ] (Tiling.Dlx.solve problem)
-
-let test_dlx_reusable () =
-  (* Solving twice gives identical results (links fully restored). *)
-  let problem = Tiling.Dlx.create ~universe:2 [ [ 0 ]; [ 1 ]; [ 0; 1 ] ] in
-  let a = Tiling.Dlx.solve problem in
-  let b = Tiling.Dlx.solve problem in
-  Alcotest.(check (list (list int))) "idempotent" a b
-
-let test_dlx_rejects_bad_input () =
-  let bad f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  Alcotest.(check bool) "out of range" true
-    (bad (fun () -> Tiling.Dlx.create ~universe:2 [ [ 5 ] ]));
-  Alcotest.(check bool) "duplicate in subset" true
-    (bad (fun () -> Tiling.Dlx.create ~universe:3 [ [ 1; 1 ] ]))
-
-let qcheck_dlx_vs_bruteforce =
-  (* Tiny random exact-cover instances: DLX agrees with enumerating all
-     2^k subset selections. *)
-  let gen =
-    QCheck.Gen.(
-      int_range 1 6 >>= fun universe ->
-      int_range 1 8 >>= fun num_subsets ->
-      int_bound 1_000_000 >|= fun seed ->
-      let rng = Prng.Xoshiro.create (Int64.of_int seed) in
-      let subsets =
-        List.init num_subsets (fun _ ->
-            List.filter (fun _ -> Prng.Xoshiro.bool rng) (List.init universe Fun.id))
-        |> List.filter (fun s -> s <> [])
-      in
-      (universe, subsets))
-  in
-  let arb = QCheck.make gen in
-  QCheck.Test.make ~name:"dlx agrees with brute force on random instances" ~count:150 arb
-    (fun (universe, subsets) ->
-      let k = List.length subsets in
-      let arr = Array.of_list subsets in
-      let brute = ref [] in
-      for mask = 0 to (1 lsl k) - 1 do
-        let count = Array.make universe 0 in
-        for i = 0 to k - 1 do
-          if mask land (1 lsl i) <> 0 then List.iter (fun e -> count.(e) <- count.(e) + 1) arr.(i)
-        done;
-        if Array.for_all (fun c -> c = 1) count then begin
-          let sel = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init k Fun.id) in
-          brute := sel :: !brute
-        end
-      done;
-      let dlx = Tiling.Dlx.solve (Tiling.Dlx.create ~universe subsets) in
-      List.sort Stdlib.compare !brute = List.sort Stdlib.compare dlx)
+(* --- Kernel vs reference backtracker --- *)
 
 let test_engines_agree () =
-  (* All three solvers share one branching rule, so they enumerate the
-     same tilings in the same ORDER - structural list equality, not just
-     set equality. *)
+  (* The kernel and the reference backtracker share one branching rule,
+     so they enumerate the same tilings in the same ORDER - structural
+     list equality, not just set equality. *)
   let s = Prototile.tetromino `S and z = Prototile.tetromino `Z in
   List.iter
     (fun period ->
-      let solve engine =
-        Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:1000 ~engine ()
+      let oracle =
+        Tiling_oracle.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:1000 ()
       in
-      let bt = solve `Backtracking and dlx = solve `Dlx and bm = solve `Bitmask in
-      Alcotest.(check int) "bt/dlx count" (List.length bt) (List.length dlx);
-      Alcotest.(check int) "bt/bitmask count" (List.length bt) (List.length bm);
-      Alcotest.(check bool) "bt = dlx (ordered)" true (bt = dlx);
-      Alcotest.(check bool) "bt = bitmask (ordered)" true (bt = bm))
+      let kernel =
+        Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:1000 ()
+      in
+      Alcotest.(check int) "oracle/kernel count" (List.length oracle) (List.length kernel);
+      Alcotest.(check bool) "oracle = kernel (ordered)" true (oracle = kernel))
     [ Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |];
       Sublattice.of_basis [| [| 4; 0 |]; [| 2; 4 |] |];
       Sublattice.of_basis [| [| 8; 0 |]; [| 0; 2 |] |] ]
 
 let qcheck_engines_differential =
   (* Differential corpus: random small torus quotients x random prototile
-     sets, all three engines enumerated to exhaustion and compared as
-     ordered lists.  All instance choices derive from one Splitmix64
-     stream keyed by the QCheck-drawn integer, so a failure replays from
-     a single seed. *)
+     sets, kernel and reference backtracker enumerated to exhaustion and
+     compared as ordered lists.  All instance choices derive from one
+     Splitmix64 stream keyed by the QCheck-drawn integer, so a failure
+     replays from a single seed. *)
   let gen = QCheck.Gen.int_bound 1_000_000 in
   let arb = QCheck.make ~print:string_of_int gen in
   QCheck.Test.make ~name:"engines agree on random tori" ~count:60 arb (fun seed ->
@@ -280,13 +207,63 @@ let qcheck_engines_differential =
         (poly () :: (if draw 2 = 0 then [ poly () ] else []))
         @ [ Prototile.of_cells [ Vec.zero 2 ] ]
       in
-      let solve engine =
-        Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:100_000 ~engine ()
+      Tiling_oracle.cover_torus ~period ~prototiles ~max_solutions:100_000 ()
+      = Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:100_000 ())
+
+let qcheck_cover_region_vs_oracle =
+  (* [cover_region] against the reference backtracker on seeded random
+     regions of two kinds: plane regions (unions of translates of a
+     random polyomino, plus stray cells that usually make them
+     uncoverable) and windows of small HNF tori (coset representatives,
+     some shifted by a period vector; half the windows are the whole
+     torus, the rest drop some cells).  Each instance runs
+     with and without a [keep] over a ladder of budgets; results
+     (or the [Invalid_argument] rejection) must agree as ordered lists. *)
+  let gen = QCheck.Gen.int_bound 1_000_000 in
+  let arb = QCheck.make ~print:string_of_int gen in
+  QCheck.Test.make ~name:"cover_region = oracle on random regions" ~count:100 arb (fun seed ->
+      let sm = Prng.Splitmix64.create (Int64.of_int seed) in
+      let draw bound =
+        Int64.to_int (Int64.unsigned_rem (Prng.Splitmix64.next sm) (Int64.of_int bound))
       in
-      let bt = solve `Backtracking and dlx = solve `Dlx and bm = solve `Bitmask in
-      (* Ordered equality: the shared branching rule makes the three
-         enumerations structurally identical, not just equal as sets. *)
-      bt = dlx && bt = bm)
+      let rng = Prng.Xoshiro.create (Prng.Splitmix64.next sm) in
+      let prototile = Randomtile.polyomino rng ~cells:(1 + draw 4) in
+      let region, torus =
+        if draw 2 = 0 then begin
+          let translates = List.init (1 + draw 5) (fun _ -> Vec.make2 (draw 7 - 3) (draw 7 - 3)) in
+          let strays = List.init (draw 3) (fun _ -> Vec.make2 (draw 9 - 4) (draw 9 - 4)) in
+          ( List.concat_map (fun t -> Vec.Set.elements (Prototile.translate t prototile)) translates
+            @ strays,
+            None )
+        end
+        else begin
+          let a = 1 + draw 4 and b = 1 + draw 4 in
+          let period = Sublattice.of_basis [| [| a; 0 |]; [| draw a; b |] |] in
+          let whole = draw 2 = 0 in
+          let window =
+            List.filter_map
+              (fun r ->
+                match draw 6 with
+                | 0 when not whole -> None
+                | 1 -> Some (Vec.add r (Vec.make2 a 0))
+                | _ -> Some r)
+              (Sublattice.cosets period)
+          in
+          (window, Some period)
+        end
+      in
+      let filter ts = Hashtbl.hash ts mod 3 <> 0 in
+      List.for_all
+        (fun keep ->
+          List.for_all
+            (fun max_solutions ->
+              let run f = match f () with exception Invalid_argument _ -> None | v -> Some v in
+              run (fun () ->
+                  Tiling_oracle.cover_region ~region ~prototile ?torus ~max_solutions ?keep ())
+              = run (fun () ->
+                    Tiling.Search.cover_region ~region ~prototile ?torus ~max_solutions ?keep ()))
+            [ 1; 2; 3; 7; 64; 100_000 ])
+        [ None; Some filter ])
 
 (* --- Search --- *)
 
@@ -382,31 +359,31 @@ let test_find_respectable () =
 
 let test_cover_torus_keep_filters_during_search () =
   (* [keep] = filter-then-truncate semantics: the filtered search equals
-     List.filter over the unfiltered enumeration, cut to the budget -
-     and the budget counts only kept solutions. *)
+     List.filter over the unfiltered enumeration (the reference
+     backtracker's), cut to the budget - and the budget counts only kept
+     solutions.  Kernel and reference backtracker must both hold it. *)
   let s = Prototile.tetromino `S and z = Prototile.tetromino `Z in
   let period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |] in
   let mixed m = List.length (Tiling.Multi.pieces m) = 2 in
-  let all =
-    Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:max_int ()
-  in
+  let all = Tiling_oracle.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:max_int () in
   let rec take n = function
     | [] -> []
     | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
   in
   List.iter
-    (fun engine ->
+    (fun budget ->
+      let expected = take budget (List.filter mixed all) in
       List.iter
-        (fun budget ->
-          let kept =
+        (fun (name, kept) ->
+          Alcotest.(check bool) (name ^ ": filter-then-truncate") true (kept = expected);
+          Alcotest.(check bool) (name ^ ": all kept are mixed") true (List.for_all mixed kept))
+        [ ( "kernel",
             Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:budget
-              ~engine ~keep:mixed ()
-          in
-          Alcotest.(check bool) "filter-then-truncate" true
-            (kept = take budget (List.filter mixed all));
-          Alcotest.(check bool) "all kept are mixed" true (List.for_all mixed kept))
-        [ 1; 3; max_int ])
-    [ `Backtracking; `Dlx; `Bitmask ]
+              ~keep:mixed () );
+          ( "oracle",
+            Tiling_oracle.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:budget
+              ~keep:mixed () ) ])
+    [ 1; 3; max_int ]
 
 let test_find_respectable_early_stop_is_prefix () =
   (* The early-stopping rewrite must change nothing observable: a
@@ -611,17 +588,11 @@ let () =
           Alcotest.test_case "tile_of" `Quick test_multi_tile_of;
           Alcotest.test_case "rejects empty piece" `Quick test_multi_rejects_empty_piece;
         ] );
-      ( "dlx",
+      ( "oracle",
         [
-          Alcotest.test_case "knuth example" `Quick test_dlx_basic;
-          Alcotest.test_case "no solution" `Quick test_dlx_no_solution;
-          Alcotest.test_case "counts" `Quick test_dlx_counts;
-          Alcotest.test_case "empty universe" `Quick test_dlx_empty_universe;
-          Alcotest.test_case "reusable" `Quick test_dlx_reusable;
-          Alcotest.test_case "rejects bad input" `Quick test_dlx_rejects_bad_input;
           Alcotest.test_case "engines agree" `Quick test_engines_agree;
-          qc qcheck_dlx_vs_bruteforce;
           qc qcheck_engines_differential;
+          qc qcheck_cover_region_vs_oracle;
         ] );
       ( "search",
         [
