@@ -77,22 +77,22 @@ val run : config -> result
 
 val run_sweep :
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   ?trace_of:(int64 -> Trace.t option) ->
   config ->
   seeds:int64 list ->
   result list
 (** Independent {!run}s of the same configuration at each seed, in seed
     order.  With a pool of more than one domain (default
-    {!Parallel.default}), the runs execute on separate domains; each run
+    {!Parallel.default}), the runs execute on separate domains through
+    {!Parallel.map}; each run
     is fully self-contained (per-node PRNG streams split off its seed),
     so the result list is identical to sequentially mapping {!run}.
 
     Tracing: the shared [cfg.trace] sink is {e ignored} (one sink
     written by concurrent runs would interleave nondeterministically).
     Instead, [trace_of seed] supplies each run its own sink - a
-    single-writer log per seed, filled identically at every pool size
-    and scheduler.  Callers must return a distinct [Trace.t] per seed
+    single-writer log per seed, filled identically at every pool
+    size.  Callers must return a distinct [Trace.t] per seed
     (sharing one across seeds reintroduces the race); the default keeps
     tracing off. *)
 

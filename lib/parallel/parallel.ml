@@ -122,6 +122,8 @@ let parallel_for pool ~n f =
     end
   end
 
+(* The flat maps: one element per atomic fetch in [drain], which already
+   balances uneven per-element cost dynamically. *)
 let map_array pool f xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -130,6 +132,10 @@ let map_array pool f xs =
     parallel_for pool ~n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map Option.get out
   end
+
+let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
+let filter_map pool f xs = List.filter_map Fun.id (map pool f xs)
+let concat_map pool f xs = List.concat (map pool f xs)
 
 (* ---------- the work-stealing scheduler ---------- *)
 
@@ -348,43 +354,6 @@ module Steal = struct
           (List.concat st.chunks)
     end
 end
-
-let steal_map_array pool f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let tasks = Array.init n (fun i -> ([ i ], fun _ctx -> [ ([ i ], f xs.(i)) ])) in
-    let chunks = Steal.run pool tasks in
-    let out = Array.of_list (List.map snd chunks) in
-    assert (Array.length out = n);
-    out
-  end
-
-(* ---------- the scheduler default ---------- *)
-
-type sched = [ `Static | `Steal ]
-
-let env_sched () =
-  match Sys.getenv_opt "TILESCHED_SCHED" with
-  | Some s -> ( match String.trim s with "static" -> `Static | _ -> `Steal)
-  | None -> `Steal
-
-let default_sched_ref = ref (env_sched ())
-let default_sched () = !default_sched_ref
-let set_default_sched s = default_sched_ref := s
-
-(* Scheduler-aware fork/join maps, shadowing the static-split versions
-   above.  Both schedulers produce the same (index-ordered) output; the
-   [`Steal] path merely balances uneven task costs across the deques. *)
-let map_array ?sched pool f xs =
-  let sched = match sched with Some s -> s | None -> default_sched () in
-  match sched with
-  | `Static -> map_array pool f xs
-  | `Steal -> if pool.pool_jobs <= 1 then map_array pool f xs else steal_map_array pool f xs
-
-let map ?sched pool f xs = Array.to_list (map_array ?sched pool f (Array.of_list xs))
-let filter_map ?sched pool f xs = List.filter_map Fun.id (map ?sched pool f xs)
-let concat_map ?sched pool f xs = List.concat (map ?sched pool f xs)
 
 (* ---------- the process-wide default pool ---------- *)
 

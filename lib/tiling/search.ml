@@ -1,7 +1,7 @@
 open Zgeom
 open Lattice
 
-let lattice_tilings ?pool ?sched p =
+let lattice_tilings ?pool p =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let d = Prototile.dim p in
   let m = Prototile.size p in
@@ -20,9 +20,9 @@ let lattice_tilings ?pool ?sched p =
   in
   (* One task per HNF diagonal family; concatenating in diagonal order is
      exactly the sequential [all_of_index] enumeration.  Families differ
-     wildly in size, so the stealing scheduler's dynamic balance is the
-     default ([?sched] falls through to {!Parallel.default_sched}). *)
-  Parallel.concat_map ?sched pool
+     wildly in size; the pool hands them out one at a time, so the big
+     ones do not queue behind each other. *)
+  Parallel.concat_map pool
     (fun diag -> List.filter complete_residues (Sublattice.all_with_diagonal ~dim:d diag))
     (Sublattice.hnf_diagonals ~dim:d m)
 
@@ -79,41 +79,15 @@ type mask_state = {
    solution-dense workloads (EXP-P2).  Returns [(raw solutions, count)]:
    with [collect] the first [max_solutions] solutions in enumeration
    order; without it the list stays empty and only the count is kept -
-   no per-solution allocation at all when [keep] is absent.  Without a
-   [pool] of more than one domain the search is sequential. *)
-let exact_cover ?pool ?(sched = `Static) ~cells:idx ~footprints ?keep ~max_solutions ~collect
-    () =
+   no per-solution allocation at all when [keep] is absent.  Two solve
+   paths: [bm_solve], sequential, without a [pool] of more than one
+   domain; otherwise [Parallel.Steal] over the root subtrees. *)
+let exact_cover ?pool ~cells:idx ~footprints ?keep ~max_solutions ~collect () =
   let n_pl = Array.length footprints in
   (* Only solutions passing [keep] are recorded or counted against the
      budget, in every subtree of the parallel split - so filtered
      searches keep the same prefix/identity guarantees. *)
   let keep_raw = match keep with None -> fun _ -> true | Some f -> f in
-  (* Merge of the parallel split's per-subtree [(solutions, count)]
-     results, in branch order - identical to the sequential list for any
-     pool size (each subtree enumerates in sequential order, and the
-     sequential search exhausts each subtree in turn). *)
-  let merge_parts parts =
-    if collect then begin
-      let sols = take max_solutions (List.concat (Array.to_list (Array.map fst parts))) in
-      (sols, List.length sols)
-    end
-    else ([], Array.fold_left (fun acc (_, c) -> acc + c) 0 parts)
-  in
-  (* Same merge for the stealing scheduler's output: [Steal.run] returns
-     the per-subtree chunks already sorted by canonical path key, i.e.
-     in sequential enumeration order, so concatenating and truncating is
-     again identical to the sequential list. *)
-  let merge_chunks chunks =
-    if collect then begin
-      let sols = take max_solutions (List.concat_map (fun (_, (s, _)) -> s) chunks) in
-      (sols, List.length sols)
-    end
-    else ([], List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 chunks)
-  in
-  (* Empty universe: the empty placement set is the one exact cover. *)
-  let trivial_root () =
-    if not (keep_raw [||]) then ([], 0) else if collect then ([ [||] ], 1) else ([], 1)
-  in
   (* by_cell.(c) = placements covering cell c, in ascending placement
      order - the candidate order of every branch. *)
   let by_cell = Array.make idx [] in
@@ -468,7 +442,8 @@ let exact_cover ?pool ?(sched = `Static) ~cells:idx ~footprints ?keep ~max_solut
   let bm_steal pool =
     let st0 = new_state () in
     let root = select st0 in
-    if root < 0 then trivial_root ()
+    (* Empty universe: nothing to split. *)
+    if root < 0 then bm_solve st0 ~budget:max_solutions
     else begin
       let cands = by_cell.(root) in
       (* Cost model for LPT seeding: placements left alive after each
@@ -488,61 +463,20 @@ let exact_cover ?pool ?(sched = `Static) ~cells:idx ~footprints ?keep ~max_solut
           (fun i q -> ([ i ], fun ctx -> bm_task ctx ~replay:[||] ~cand:q ~key:[ i ]))
           cands
       in
-      merge_chunks (Parallel.Steal.run pool ~weights tasks)
-    end
-  in
-  let bm_static pool =
-    let jobs = Parallel.jobs pool in
-    let st0 = new_state () in
-    let root = select st0 in
-    if root < 0 then trivial_root ()
-    else if Array.length by_cell.(root) >= 2 * jobs then
-      (* One task per root candidate, merged in branch order. *)
-      merge_parts
-        (Parallel.map_array ~sched:`Static pool
-           (fun q ->
-             let st = new_state () in
-             choose st q;
-             bm_solve st ~budget:max_solutions)
-           by_cell.(root))
-    else begin
-      (* Too few root branches to occupy the pool: split two levels
-         deep.  The task list is expanded sequentially in traversal
-         order (place q; branch on the next selected cell; unplace), so
-         concatenating per-task results still reproduces the sequential
-         enumeration. *)
-      let tasks = ref [] in
-      Array.iter
-        (fun q ->
-          place st0 q;
-          let c2 = select st0 in
-          if c2 < 0 then tasks := `Leaf q :: !tasks
-          else
-            Array.iter
-              (fun r -> if Bitset.mem st0.live r then tasks := `Branch (q, r) :: !tasks)
-              by_cell.(c2);
-          unplace st0 q)
-        by_cell.(root);
-      let tasks = Array.of_list (List.rev !tasks) in
-      merge_parts
-        (Parallel.map_array ~sched:`Static pool
-           (fun task ->
-             match task with
-             | `Leaf q ->
-               if not (keep_raw [| q |]) then ([], 0)
-               else if collect then ([ [| q |] ], 1)
-               else ([], 1)
-             | `Branch (q, r) ->
-               let st = new_state () in
-               choose st q;
-               choose st r;
-               bm_solve st ~budget:max_solutions)
-           tasks)
+      (* [Steal.run] returns the per-subtree chunks sorted by canonical
+         path key, i.e. in sequential enumeration order, so
+         concatenating and truncating is identical to the sequential
+         list for any pool size. *)
+      let chunks = Parallel.Steal.run pool ~weights tasks in
+      if collect then begin
+        let sols = take max_solutions (List.concat_map (fun (_, (s, _)) -> s) chunks) in
+        (sols, List.length sols)
+      end
+      else ([], List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 chunks)
     end
   in
   match pool with
-  | Some pool when Parallel.jobs pool > 1 ->
-    if sched = `Steal then bm_steal pool else bm_static pool
+  | Some pool when Parallel.jobs pool > 1 -> bm_steal pool
   | _ -> bm_solve (new_state ()) ~budget:max_solutions
 
 (* Shared implementation of [cover_torus] (collect = true: materialized
@@ -550,7 +484,7 @@ let exact_cover ?pool ?(sched = `Static) ~cells:idx ~footprints ?keep ~max_solut
    quotient as a kernel problem - every translate of every prototile by a
    coset representative, prototile-major, minus the self-overlapping
    ones - solved by [exact_cover], returning [(solutions, count)]. *)
-let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~sched ~collect =
+let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~collect =
   let anchors = Sublattice.cosets period in
   let placements =
     List.concat
@@ -596,21 +530,19 @@ let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~sched ~collect =
   in
   let keep = Option.map (fun f sol -> f (to_multi sol)) keep in
   let sols, count =
-    exact_cover ~pool ~sched ~cells:(Sublattice.index period)
+    exact_cover ~pool ~cells:(Sublattice.index period)
       ~footprints:(Array.map (fun pl -> pl.covers) placement_arr)
       ?keep ~max_solutions ~collect ()
   in
   (List.map to_multi sols, count)
 
-let cover_torus ~period ~prototiles ?(max_solutions = 64) ?keep ?pool ?sched () =
+let cover_torus ~period ~prototiles ?(max_solutions = 64) ?keep ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
-  fst (torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~sched ~collect:true)
+  fst (torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~collect:true)
 
-let count_torus_covers ~period ~prototiles ?pool ?sched () =
+let count_torus_covers ~period ~prototiles ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
-  snd (torus_run ~period ~prototiles ~max_solutions:max_int ~keep:None ~pool ~sched ~collect:false)
+  snd (torus_run ~period ~prototiles ~max_solutions:max_int ~keep:None ~pool ~collect:false)
 
 let default_factors = [ 1; 2; 3; 4 ]
 
@@ -698,9 +630,9 @@ let canonical_cover_key ~period mt =
       (cover_key ~period ~shift:u0 mt)
       us
 
-let distinct_torus_covers ~period ~prototiles ?max_classes ?pool ?sched () =
+let distinct_torus_covers ~period ~prototiles ?max_classes ?pool () =
   let budget = match max_classes with Some k -> k | None -> max_int in
-  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ?pool ?sched () in
+  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ?pool () in
   let seen = Hashtbl.create 64 in
   let reps = ref [] in
   let kept = ref 0 in

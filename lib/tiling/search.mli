@@ -25,20 +25,22 @@
     the first uncovered cell with the fewest live candidates (first
     strict minimum in cell order) and tries candidates in ascending
     placement order, so every enumeration order below is deterministic.
+    The kernel has two solve paths: sequential, for a pool of one domain
+    and always for {!cover_region}; and {!Parallel.Steal} over the root
+    subtrees for a larger pool, with the same output.
     A plain list backtracker with the same branching rule lives in the
     test-only [tiling_oracle] library; the tests assert ordered equality
     with it. *)
 
 val lattice_tilings :
-  ?pool:Parallel.pool -> ?sched:Parallel.sched -> Lattice.Prototile.t -> Lattice.Sublattice.t list
+  ?pool:Parallel.pool -> Lattice.Prototile.t -> Lattice.Sublattice.t list
 (** All period sublattices [Lambda] of index [|N|] with the cells pairwise
     non-congruent mod [Lambda]; each yields [Single.lattice_tiling].
 
     The HNF enumeration is partitioned by diagonal family
     ({!Lattice.Sublattice.hnf_diagonals}) and the families are checked on
-    the pool's domains (default {!Parallel.default}) under [sched]
-    (default {!Parallel.default_sched}); the result list is identical to
-    the sequential enumeration at every pool size and scheduler. *)
+    the pool's domains (default {!Parallel.default}); the result list is
+    identical to the sequential enumeration at every pool size. *)
 
 val find_lattice_tiling : Lattice.Prototile.t -> Single.t option
 
@@ -48,7 +50,6 @@ val cover_torus :
   ?max_solutions:int ->
   ?keep:(Multi.t -> bool) ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   Multi.t list
 (** All exact covers of the quotient by translates of the prototiles
@@ -69,34 +70,28 @@ val cover_torus :
     representative ({!Lattice.Sublattice.cosets} order); the kernel
     branches as described above.
 
-    {b Determinism contract.}  With a [pool] of more than one domain
-    (default {!Parallel.default}), the search splits at the root
-    branching cell - the most constrained cell, which is also the first
-    cell the sequential search branches on - and solves one subtree per
-    candidate placement across the domains.  How subtrees reach domains
-    is [sched]'s business (default {!Parallel.default_sched}):
+    {b Determinism contract.}  With a [pool] of one domain the search
+    is sequential.  With more (default {!Parallel.default}), it splits
+    at the root branching cell - the most constrained cell, which is
+    also the first cell the sequential search branches on - and runs
+    one {!Parallel.Steal} task per candidate placement.  Root subtrees
+    are seeded over per-worker deques longest-first (a
+    live-placement-count cost model) and migrate by work stealing; a
+    running subtree additionally {e re-splits lazily} when a thief
+    starves, giving away the untried branches of its shallowest open
+    frame.  Results commit as chunks keyed by canonical subtree path
+    and are merged in key order.
 
-    - [`Steal]: root subtrees are seeded over per-worker deques
-      longest-first (a live-placement-count cost model) and migrate by
-      work stealing; a running subtree additionally {e re-splits
-      lazily} when a thief starves, giving away the untried
-      branches of its shallowest open frame.  Results commit as chunks
-      keyed by canonical subtree path and are merged in key order.
-    - [`Static]: the original fixed split (two levels deep when the
-      root has fewer than twice [jobs] candidates), merged in branch
-      order.
-
-    Under both schedulers each subtree enumerates in the sequential
-    order and the merge reproduces the sequential consumption order, so
-    the returned list (contents {e and} order) is bit-identical to the
-    [jobs = 1] run at every pool size, scheduler, and interleaving; the
-    determinism matrix and the steal-schedule fuzzer enforce this. *)
+    Each subtree enumerates in the sequential order and the merge
+    reproduces the sequential consumption order, so the returned list
+    (contents {e and} order) is bit-identical to the [jobs = 1] run at
+    every pool size and interleaving; the determinism matrix and the
+    steal-schedule fuzzer enforce this. *)
 
 val count_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   int
 (** Number of exact covers of the quotient - the length of the full
@@ -105,15 +100,14 @@ val count_torus_covers :
     the same tree in the same order as {!cover_torus}; skipping
     per-solution recording and {!Multi.t} construction is what makes
     counting the pure measure of search speed (EXP-P2 benches both).
-    Pool semantics are as in {!cover_torus}; every pool size and
-    scheduler returns the same count. *)
+    Pool semantics are as in {!cover_torus}; every pool size returns
+    the same count. *)
 
 val distinct_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?max_classes:int ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   Multi.t list
 (** Representatives of the translation-congruence classes of {e all}
@@ -131,8 +125,8 @@ val distinct_torus_covers :
     these classes are the raw material for duty-cycle rotation
     ([Lifetime.Rotation]).  The underlying enumeration is exhaustive
     ([max_solutions = max_int]), so this is for the small periods
-    rotation actually uses; pool/sched semantics (and determinism) are
-    those of {!cover_torus}. *)
+    rotation actually uses; pool semantics (and determinism) are those
+    of {!cover_torus}. *)
 
 val cover_region :
   region:Zgeom.Vec.t list ->

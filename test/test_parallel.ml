@@ -1,10 +1,12 @@
 (* Tests for the domain pool and for the determinism contract of every
-   parallel entry point: at jobs = 1, 2, 4 and 8, under both the static
-   and the work-stealing scheduler, the exact-cover kernel and the
-   simulation sweep must return values structurally identical to the
-   sequential run - not just equal solution sets, the same lists in the
-   same order.  The steal-schedule fuzzer additionally randomizes victim
-   selection to exercise schedules round-robin stealing never takes. *)
+   parallel entry point: at jobs = 1, 2, 4 and 8 the exact-cover kernel
+   (sequential at jobs = 1, work-stealing above) and the simulation sweep
+   must return values structurally identical to the sequential run - not
+   just equal solution sets, the same lists in the same order.  The
+   kernel must also re-raise an exception from a task and stay correct
+   when called from inside a busy pool.  The steal-schedule fuzzer
+   additionally randomizes victim selection to exercise schedules
+   round-robin stealing never takes. *)
 
 open Lattice
 
@@ -105,48 +107,38 @@ let test_lattice_tilings_deterministic () =
 
 let sz_period = lazy (Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |])
 
-let scheds : (Parallel.sched * string) list = [ (`Static, "static"); (`Steal, "steal") ]
-
 let test_cover_torus_deterministic () =
   let period = Lazy.force sz_period in
   let prototiles = [ Prototile.tetromino `S; Prototile.tetromino `Z ] in
+  (* Both the truncated list (budget bites mid-merge) and the full
+     enumeration must be reproduced. *)
   List.iter
-    (fun (sched, sname) ->
-      (* Both the truncated list (budget bites mid-merge) and the full
-         enumeration must be reproduced. *)
-      List.iter
-        (fun max_solutions ->
-          check_jobs_invariant
-            (Printf.sprintf "cover_torus %s max=%d" sname max_solutions)
-            (fun pool ->
-              Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~sched ~pool ()))
-        [ 7; 50; 1000 ])
-    scheds
+    (fun max_solutions ->
+      check_jobs_invariant
+        (Printf.sprintf "cover_torus max=%d" max_solutions)
+        (fun pool -> Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~pool ()))
+    [ 7; 50; 1000 ]
 
 let test_cover_torus_multi_prototile_deterministic () =
   (* A heterogeneous instance: 2x2 squares plus single-cell fillers on a
      non-square quotient, where root placements use different tiles. *)
   let period = Sublattice.of_basis [| [| 5; 0 |]; [| 0; 2 |] |] in
   let prototiles = [ Prototile.rect 2 2; Prototile.of_cells [ Zgeom.Vec.zero 2 ] ] in
-  List.iter
-    (fun (sched, _) ->
-      check_jobs_invariant "cover_torus squares+singles" (fun pool ->
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:200 ~sched ~pool ()))
-    scheds
+  check_jobs_invariant "cover_torus squares+singles" (fun pool ->
+      Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:200 ~pool ())
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
 let test_three_way_engine_oracle () =
   (* The strongest form of the determinism contract: over a randomized
-     corpus of torus instances, the kernel under both schedulers returns
-     the reference backtracker's ORDERED solution list ([Tiling_oracle],
-     an independent sequential solver), at every pool size, and
-     truncation to any [max_solutions] is a prefix of that list.
-     Instance generation mirrors test_tiling's differential corpus (one
+     corpus of torus instances, the kernel returns the reference
+     backtracker's ORDERED solution list ([Tiling_oracle], an
+     independent sequential solver), at every pool size, and truncation
+     to any [max_solutions] is a prefix of that list.  Instance
+     generation mirrors test_tiling's differential corpus (one
      Splitmix64 stream, so a failure replays from the loop index).
-     Pools are created once per size: the matrix is
-     scheduler x jobs x prefix, and per-solve domain spawning would
-     dominate it. *)
+     Pools are created once per size: the matrix is jobs x prefix, and
+     per-solve domain spawning would dominate it. *)
   let sm = Prng.Splitmix64.create 2027L in
   let draw bound =
     Int64.to_int (Int64.unsigned_rem (Prng.Splitmix64.next sm) (Int64.of_int bound))
@@ -168,8 +160,8 @@ let test_three_way_engine_oracle () =
           (poly () :: (if draw 2 = 0 then [ poly () ] else []))
           @ [ Prototile.of_cells [ Zgeom.Vec.zero 2 ] ]
         in
-        let solve ~sched ~pool ~max_solutions =
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~sched ~pool ()
+        let solve ~pool ~max_solutions =
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~pool ()
         in
         let reference = Tiling_oracle.cover_torus ~period ~prototiles ~max_solutions:100_000 () in
         let len = List.length reference in
@@ -181,31 +173,27 @@ let test_three_way_engine_oracle () =
             (List.filter (fun m -> m >= 1) [ 1; 2; 3; 5; 8; 13; len - 1; len; len + 7 ])
         in
         List.iter
-          (fun (sched, sname) ->
+          (fun (jobs, pool) ->
+            let full = solve ~pool ~max_solutions:100_000 in
+            Alcotest.(check bool)
+              (Printf.sprintf "instance %d: jobs=%d = oracle" instance jobs)
+              true (full = reference);
             List.iter
-              (fun (jobs, pool) ->
-                let full = solve ~sched ~pool ~max_solutions:100_000 in
+              (fun m ->
+                let truncated = solve ~pool ~max_solutions:m in
                 Alcotest.(check bool)
-                  (Printf.sprintf "instance %d: %s jobs=%d = oracle" instance sname jobs)
-                  true (full = reference);
-                List.iter
-                  (fun m ->
-                    let truncated = solve ~sched ~pool ~max_solutions:m in
-                    Alcotest.(check bool)
-                      (Printf.sprintf "instance %d: %s jobs=%d max=%d is a prefix" instance sname
-                         jobs m)
-                      true
-                      (truncated = take m reference))
-                  prefixes)
-              pools)
-          scheds
+                  (Printf.sprintf "instance %d: jobs=%d max=%d is a prefix" instance jobs m)
+                  true
+                  (truncated = take m reference))
+              prefixes)
+          pools
       done)
 
 let test_count_matches_enumeration () =
   (* [count_torus_covers] = length of the reference backtracker's full
-     enumeration, for the oracle's own counter and for the kernel under
-     both schedulers at every pool size (the counting path skips all
-     materialization, so it exercises different code). *)
+     enumeration, for the oracle's own counter and for the kernel at
+     every pool size (the counting path skips all materialization, so it
+     exercises different code). *)
   let check label ~period ~prototiles =
     let expected =
       List.length (Tiling_oracle.cover_torus ~period ~prototiles ~max_solutions:max_int ())
@@ -213,16 +201,13 @@ let test_count_matches_enumeration () =
     Alcotest.(check int) (label ^ ": oracle count") expected
       (Tiling_oracle.count_torus_covers ~period ~prototiles ());
     List.iter
-      (fun (sched, sname) ->
-        List.iter
-          (fun jobs ->
-            let n =
-              Parallel.with_pool ~jobs (fun pool ->
-                  Tiling.Search.count_torus_covers ~period ~prototiles ~sched ~pool ())
-            in
-            Alcotest.(check int) (Printf.sprintf "%s: %s jobs=%d" label sname jobs) expected n)
-          [ 1; 2; 4 ])
-      scheds
+      (fun jobs ->
+        let n =
+          Parallel.with_pool ~jobs (fun pool ->
+              Tiling.Search.count_torus_covers ~period ~prototiles ~pool ())
+        in
+        Alcotest.(check int) (Printf.sprintf "%s: jobs=%d" label jobs) expected n)
+      [ 1; 2; 4 ]
   in
   check "S/Z 4x4" ~period:(Lazy.force sz_period)
     ~prototiles:[ Prototile.tetromino `S; Prototile.tetromino `Z ];
@@ -310,8 +295,8 @@ let test_steal_schedule_fuzzer () =
 
 let test_skew_instance () =
   (* The benchmark's skewed instance really is skewed - one root branch
-     owns at least 90% of the covers - and both schedulers agree with
-     the sequential count and enumeration on it. *)
+     owns at least 90% of the covers - and the kernel agrees with the
+     sequential count and enumeration on it at every pool size. *)
   let n = 20 in
   let share = Microbench.skew_root_share ~n in
   Alcotest.(check bool)
@@ -325,22 +310,78 @@ let test_skew_instance () =
   in
   Alcotest.(check int) "cover count is 1 + n^2" expected (List.length reference);
   List.iter
-    (fun (sched, sname) ->
-      List.iter
-        (fun jobs ->
-          Parallel.with_pool ~jobs (fun pool ->
-              Alcotest.(check int)
-                (Printf.sprintf "count %s jobs=%d" sname jobs)
-                expected
-                (Tiling.Search.count_torus_covers ~period ~prototiles ~pool ~sched ());
-              Alcotest.(check bool)
-                (Printf.sprintf "enumeration %s jobs=%d identical" sname jobs)
-                true
-                (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool
-                   ~sched ()
-                = reference)))
-        [ 2; 4 ])
-    scheds
+    (fun jobs ->
+      Parallel.with_pool ~jobs (fun pool ->
+          Alcotest.(check int)
+            (Printf.sprintf "count jobs=%d" jobs)
+            expected
+            (Tiling.Search.count_torus_covers ~period ~prototiles ~pool ());
+          Alcotest.(check bool)
+            (Printf.sprintf "enumeration jobs=%d identical" jobs)
+            true
+            (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool ()
+            = reference)))
+    [ 2; 4 ]
+
+(* ---------- the kernel under failure and under a busy pool ---------- *)
+
+let test_kernel_exception () =
+  (* A [keep] that raises on its k-th call, wherever in the steal
+     schedule that call lands: the exception must surface from
+     [cover_torus], and the pool must then still serve the full
+     enumeration, identical to the sequential one. *)
+  let period = Lazy.force sz_period in
+  let prototiles = [ Prototile.tetromino `S; Prototile.tetromino `Z ] in
+  let enumerate pool =
+    Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool ()
+  in
+  let reference = Parallel.with_pool ~jobs:1 enumerate in
+  let k = 5 in
+  Alcotest.(check bool) "enough covers to reach the k-th keep" true (List.length reference >= k);
+  List.iter
+    (fun jobs ->
+      Parallel.with_pool ~jobs (fun pool ->
+          let calls = Atomic.make 0 in
+          let keep _ = if Atomic.fetch_and_add calls 1 + 1 = k then raise (Boom k) else true in
+          (match
+             Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~keep ~pool ()
+           with
+          | _ -> Alcotest.failf "jobs=%d: expected Boom to propagate" jobs
+          | exception Boom n -> Alcotest.(check int) (Printf.sprintf "jobs=%d: Boom" jobs) k n);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: pool enumerates after the exception" jobs)
+            true
+            (enumerate pool = reference)))
+    [ 2; 4; 8 ]
+
+let test_kernel_reentrant () =
+  (* The server engine and the store precompute call the kernel from
+     inside [Parallel.map] on their own pool, so [Steal.run] then starts
+     under a busy pool and must degrade to inline without changing the
+     answer. *)
+  let instances =
+    [ ("skew n=20", Microbench.skew_instance ~n:20);
+      ("S/Z 4x4", (Lazy.force sz_period, [ Prototile.tetromino `S; Prototile.tetromino `Z ])) ]
+  in
+  let solve pool (period, prototiles) =
+    ( Tiling.Search.count_torus_covers ~period ~prototiles ~pool (),
+      Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool () )
+  in
+  let reference =
+    Parallel.with_pool ~jobs:1 (fun pool -> List.map (fun (_, inst) -> solve pool inst) instances)
+  in
+  Parallel.with_pool ~jobs:4 (fun pool ->
+      (* Each instance twice, so every domain of the pool is busy. *)
+      let got = Parallel.map pool (fun (_, inst) -> solve pool inst) (instances @ instances) in
+      List.iteri
+        (fun i (count, covers) ->
+          let name, _ = List.nth instances (i mod 2) in
+          let ref_count, ref_covers = List.nth reference (i mod 2) in
+          Alcotest.(check int) (Printf.sprintf "%s #%d: count" name i) ref_count count;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s #%d: enumeration = jobs=1" name i)
+            true (covers = ref_covers))
+        got)
 
 let test_chromatic_number_deterministic () =
   (* Random graphs of varying density; the parallel k-colorability
@@ -417,6 +458,8 @@ let () =
           Alcotest.test_case "count = enumeration length" `Quick test_count_matches_enumeration;
           Alcotest.test_case "steal-schedule fuzzer" `Quick test_steal_schedule_fuzzer;
           Alcotest.test_case "skewed instance" `Quick test_skew_instance;
+          Alcotest.test_case "kernel exception" `Quick test_kernel_exception;
+          Alcotest.test_case "kernel re-entrant" `Quick test_kernel_reentrant;
           Alcotest.test_case "chromatic number" `Quick test_chromatic_number_deterministic;
           Alcotest.test_case "ground-rule minimum" `Quick test_ground_rule_minimum_deterministic;
           Alcotest.test_case "netsim sweep" `Quick test_run_sweep_deterministic;
