@@ -417,9 +417,8 @@ let store_arg =
     & opt (some string) None
     & info [ "store" ] ~docv:"PATH"
         ~doc:
-          "Persistent certificate store (append-only log, created if absent). serve: probe it \
-           on cache misses and write completed searches through; precompute: write verdicts \
-           here.")
+          "Persistent certificate store (append-only log, created if absent): probed on cache \
+           misses, and every completed search is written through to it.")
 
 let report_recovery store =
   let r = Store.recovery store in
@@ -493,13 +492,7 @@ let serve_cmd =
       | Some path ->
         Printf.eprintf "tilesched serve: listening on %s\n%!" path;
         Server.Frontend.serve_unix ~idle_timeout engine ~path);
-      Option.iter
-        (fun store ->
-          let flushed = Server.flush_to_store engine in
-          if flushed > 0 then
-            Printf.eprintf "tilesched serve: flushed %d cache entries to store\n%!" flushed;
-          Store.close store)
-        store;
+      Option.iter Store.close store;
       Ok ()
     end
   in
@@ -515,50 +508,6 @@ let serve_cmd =
         (const run $ jobs_term $ socket_arg $ cache $ queue $ deadline $ store_arg $ corpus
        $ idle_timeout))
 
-let precompute_cmd =
-  let max_area =
-    Arg.(
-      value & opt int 5
-      & info [ "n"; "max-area" ] ~docv:"N"
-          ~doc:"Settle every free polyomino of area at most N (OEIS A000105 classes).")
-  in
-  let print_requests =
-    Arg.(
-      value & flag
-      & info [ "print-requests" ]
-          ~doc:
-            "Instead of searching, print one tile-search request line per canonical class to \
-             stdout - pipe into 'tilesched serve' to replay the workload.")
-  in
-  let run () max_area store_path print_requests =
-    if max_area < 1 then Error (`Msg "-n must be at least 1")
-    else if print_requests then begin
-      List.iteri
-        (fun id tile ->
-          print_endline (Server.Protocol.request_to_string ~id (Server.Protocol.Tile_search tile)))
-        (Store.Precompute.tiles_up_to max_area);
-      Ok ()
-    end
-    else
-      match store_path with
-      | None -> Error (`Msg "--store PATH is required (unless --print-requests)")
-      | Some path ->
-        let store = Store.open_ path in
-        report_recovery store;
-        let report = Store.Precompute.run ~store ~max_area () in
-        Store.close store;
-        Format.printf "%a@." Store.Precompute.pp_report report;
-        Ok ()
-  in
-  Cmd.v
-    (Cmd.info "precompute"
-       ~doc:
-         "Settle all small prototile classes offline: enumerate the free polyominoes up to an \
-          area bound, run the tiling search for each (spread over -j domains), and write every \
-          verdict - tiling + certificate, or proven exhaustion - to the certificate store. A \
-          daemon started with the same --store then answers those queries without searching.")
-    Term.(term_result (const run $ jobs_term $ max_area $ store_arg $ print_requests))
-
 (* ---------- corpus ---------- *)
 
 let corpus_cmd =
@@ -568,18 +517,22 @@ let corpus_cmd =
       & opt (some string) None
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Corpus directory.")
   in
+  let max_area_arg default verb =
+    Arg.(
+      value & opt int default
+      & info [ "n"; "max-area" ] ~docv:"N"
+          ~doc:(verb ^ " every free polyomino of area at most N (OEIS A000105 classes)."))
+  in
   let build_cmd =
-    let max_area =
-      Arg.(
-        value & opt int 10
-        & info [ "n"; "max-area" ] ~docv:"N"
-            ~doc:"Decide every free polyomino of area at most N (OEIS A000105 classes).")
-    in
+    let max_area = max_area_arg 10 "Decide" in
     let shards =
       Arg.(
-        value & opt int 8
+        value
+        & opt (some int) None
         & info [ "shards" ] ~docv:"K"
-            ~doc:"Segment shards (must match when resuming an existing corpus).")
+            ~doc:
+              "Segment shards. A new corpus defaults to 8; resuming keeps the corpus's own \
+               count, and an explicit K that differs from it is an error.")
     in
     let kill_at =
       Arg.(
@@ -596,7 +549,7 @@ let corpus_cmd =
           if n = kill_at && done_ = (total + 1) / 2 then
             Unix.kill (Unix.getpid ()) Sys.sigkill
         in
-        match Corpus.Campaign.run ~shards ~progress ~dir ~max_n:max_area () with
+        match Corpus.Campaign.run ?shards ~progress ~dir ~max_n:max_area () with
         | Ok report ->
           Format.printf "%a@." Corpus.Campaign.pp_report report;
           Ok ()
@@ -626,19 +579,10 @@ let corpus_cmd =
         with
         | Error msg -> Error (`Msg msg)
         | Ok m ->
-          Printf.printf "corpus %s: shards=%d sealed=%b bands=%d\n" dir m.Corpus.Layout.shards
+          Format.printf "corpus %s: shards=%d sealed=%b bands=%d%a@." dir m.Corpus.Layout.shards
             m.Corpus.Layout.sealed
-            (List.length m.Corpus.Layout.bands);
-          List.iter
-            (fun b ->
-              Printf.printf "band n=%d classes=%d exact=%d non-exact=%d\n" b.Corpus.Layout.n
-                b.Corpus.Layout.classes b.Corpus.Layout.exact b.Corpus.Layout.non_exact)
-            m.Corpus.Layout.bands;
-          let tot f = List.fold_left (fun acc b -> acc + f b) 0 m.Corpus.Layout.bands in
-          Printf.printf "total classes=%d exact=%d non-exact=%d\n"
-            (tot (fun b -> b.Corpus.Layout.classes))
-            (tot (fun b -> b.Corpus.Layout.exact))
-            (tot (fun b -> b.Corpus.Layout.non_exact));
+            (List.length m.Corpus.Layout.bands)
+            Corpus.Layout.pp_bands m.Corpus.Layout.bands;
           Ok ()
     in
     Cmd.v
@@ -667,13 +611,34 @@ let corpus_cmd =
             keys, certificate checks, index completeness, and manifest agreement.")
       Term.(term_result (const run $ jobs_term $ dir_arg))
   in
+  let requests_cmd =
+    let max_area = max_area_arg 5 "Request" in
+    let run max_area =
+      if max_area < 1 then Error (`Msg "-n must be at least 1")
+      else begin
+        let id = ref 0 in
+        Polyomino.enumerate_free_iter ~max_area (fun ~area:_ tile ->
+            print_endline
+              (Server.Protocol.request_to_string ~id:!id (Server.Protocol.Tile_search tile));
+            incr id);
+        Ok ()
+      end
+    in
+    Cmd.v
+      (Cmd.info "requests"
+         ~doc:
+           "Print one tile-search request line per canonical class of area at most N, in \
+            corpus band order - pipe into 'tilesched serve' to replay the workload a corpus \
+            (or a warm store) must answer without searching.")
+      Term.(term_result (const run $ max_area))
+  in
   Cmd.group
     (Cmd.info "corpus"
        ~doc:
-         "Precomputed verdict corpus: a BN-filtered campaign over all small polyomino classes, \
+         "Offline verdict corpus: a BN-filtered campaign over all small polyomino classes, \
           stored in sharded mmap-ready segments and served by 'tilesched serve --corpus' with \
           zero deserialization.")
-    [ build_cmd; stats_cmd; verify_cmd ]
+    [ build_cmd; stats_cmd; verify_cmd; requests_cmd ]
 
 let loadgen_cmd =
   let requests =
@@ -1208,5 +1173,5 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "tilesched" ~version:"1.0.0" ~doc)
           [ figure_cmd; exact_cmd; schedule_cmd; color_cmd; simulate_cmd; export_cmd; sync_cmd;
-            certify_cmd; serve_cmd; loadgen_cmd; precompute_cmd; corpus_cmd; lifetime_cmd;
+            certify_cmd; serve_cmd; loadgen_cmd; corpus_cmd; lifetime_cmd;
             bench_cmd; lint_cmd ]))

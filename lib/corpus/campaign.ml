@@ -35,14 +35,13 @@ let decide tile =
         | None ->
           invalid_arg
             ("Corpus.Campaign.decide: BN factorization found but no tiling exists for key "
-            ^ Store.key_of_prototile tile))
+            ^ Core.Verdict.key tile))
     in
     Exact { tiling; certificate = Core.Certificate.build tiling }
 
 let payload_of_verdict = function
   | Non_exact -> ""
-  | Exact { tiling; certificate } ->
-    Core.Codec.tiling_to_string tiling ^ "\n" ^ Core.Certificate.to_string certificate
+  | Exact { tiling; certificate } -> Core.Verdict.body_to_string tiling certificate
 
 type report = {
   dir : string;
@@ -159,7 +158,7 @@ let repair_segments dir m =
 
 let append_band dir m ~pool ~progress ~n tiles =
   let shards = m.Layout.shards in
-  let verdicts = Parallel.map pool (fun tile -> (Store.key_of_prototile tile, decide tile)) tiles in
+  let verdicts = Parallel.map pool (fun tile -> (Core.Verdict.key tile, decide tile)) tiles in
   let lens = Layout.shard_lengths m in
   let exact = ref 0 and non_exact = ref 0 in
   let total = List.length verdicts in
@@ -197,24 +196,25 @@ let append_band dir m ~pool ~progress ~n tiles =
   write_manifest dir m;
   m
 
-let run ?pool ?(shards = 8) ?(progress = fun ~n:_ ~done_:_ ~total:_ -> ()) ~dir ~max_n () =
+let run ?pool ?shards ?(progress = fun ~n:_ ~done_:_ ~total:_ -> ()) ~dir ~max_n () =
   let ( let* ) = Result.bind in
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   let* () =
     if max_n < 1 || max_n > 255 then Error "Campaign.run: max_n must be in 1..255" else Ok ()
   in
-  let* () = if shards >= 1 then Ok () else Error "Campaign.run: shards must be >= 1" in
+  let* () =
+    if Option.value shards ~default:1 >= 1 then Ok () else Error "Campaign.run: shards must be >= 1"
+  in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let* m =
     let path = manifest_path dir in
     if Sys.file_exists path then
       let* m = Layout.manifest_of_string (read_file path) in
-      if m.Layout.shards <> shards && shards <> 8 then
-        Error
-          (Printf.sprintf "corpus at %s was built with %d shards, not %d" dir m.Layout.shards
-             shards)
-      else Ok m
-    else Ok { Layout.shards; sealed = false; bands = [] }
+      match shards with
+      | Some k when k <> m.Layout.shards ->
+        Error (Printf.sprintf "corpus at %s was built with %d shards, not %d" dir m.Layout.shards k)
+      | _ -> Ok m
+    else Ok { Layout.shards = Option.value shards ~default:8; sealed = false; bands = [] }
   in
   let* () = repair_segments dir m in
   let completed = Layout.completed m in
@@ -254,13 +254,4 @@ let pp_report fmt r =
   if r.skipped_bands > 0 then
     Format.fprintf fmt " (resumed: %d band%s already checkpointed)" r.skipped_bands
       (if r.skipped_bands = 1 then "" else "s");
-  List.iter
-    (fun b ->
-      Format.fprintf fmt "@\nband n=%d classes=%d exact=%d non-exact=%d" b.Layout.n
-        b.Layout.classes b.Layout.exact b.Layout.non_exact)
-    r.bands;
-  let tot f = List.fold_left (fun acc b -> acc + f b) 0 r.bands in
-  Format.fprintf fmt "@\ntotal classes=%d exact=%d non-exact=%d"
-    (tot (fun b -> b.Layout.classes))
-    (tot (fun b -> b.Layout.exact))
-    (tot (fun b -> b.Layout.non_exact))
+  Layout.pp_bands fmt r.bands

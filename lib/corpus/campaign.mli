@@ -1,5 +1,5 @@
-(** The precompute campaign: every free polyomino up to a band bound,
-    decided and made durable.
+(** The verdict campaign, the project's one offline producer: every
+    free polyomino up to a band bound, decided and made durable.
 
     {!run} streams {!Lattice.Polyomino.enumerate_free_iter} band by
     band (area [n] = one band).  Each tile is decided by {!decide}: the
@@ -41,8 +41,8 @@ val decide : Lattice.Prototile.t -> verdict
     {!Lattice.Boundary_word.classify}; [Invalid_argument] otherwise. *)
 
 val payload_of_verdict : verdict -> string
-(** The segment record payload: empty for {!Non_exact}, the tiling line
-    plus the three certificate lines for {!Exact}. *)
+(** The segment record payload: empty for {!Non_exact}, the verdict body
+    ({!Core.Verdict.body_to_string}) for {!Exact}. *)
 
 type report = {
   dir : string;
@@ -55,7 +55,8 @@ type report = {
 val run :
   ?pool:Parallel.pool ->
   ?shards:int ->
-  (* default 8; must match an existing corpus *)
+  (* an existing corpus keeps its own count, and an explicit mismatch is
+     an [Error]; a new corpus defaults to 8 *)
   ?progress:(n:int -> done_:int -> total:int -> unit) ->
   (* called after each appended record; the crash tests' injection point *)
   dir:string ->

@@ -70,8 +70,12 @@ let encode_record ~band ~tag ~key ~payload =
   put_u32 b 8 plen;
   Bytes.blit_string key 0 b header_size klen;
   Bytes.blit_string payload 0 b (header_size + klen) plen;
-  let body = Bytes.sub_string b 4 (header_size - 4 + klen + plen) in
-  Bytes.set_int32_le b 0 (Store.crc32 body);
+  (* The CRC covers the header fields after it, then the key and the
+     payload, fed from the caller's strings instead of a record copy. *)
+  let fields = Bytes.sub_string b 4 (header_size - 4) in
+  let crc = Core.Crc32.(string init fields 0 (header_size - 4)) in
+  let crc = Core.Crc32.(string (string crc key 0 klen) payload 0 plen) in
+  Bytes.set_int32_le b 0 (Int32.lognot crc);
   Bytes.unsafe_to_string b
 
 (* Walk every record of a raw segment image (magic included), calling
@@ -98,8 +102,8 @@ let fold_records data ~init ~f =
         let plen = get_u32 data (off + 8) in
         if klen = 0 || klen >= max_key || plen > max_payload || off + header_size + klen + plen > n
         then err := Some (Printf.sprintf "impossible record lengths at byte %d" off)
-        else if Store.crc32 (String.sub data (off + 4) (header_size - 4 + klen + plen)) <> crc
-        then err := Some (Printf.sprintf "CRC mismatch at byte %d" off)
+        else if Core.Crc32.digest data (off + 4) (header_size - 4 + klen + plen) <> crc then
+          err := Some (Printf.sprintf "CRC mismatch at byte %d" off)
         else if tag <> tag_non_exact && tag <> tag_exact then
           err := Some (Printf.sprintf "unknown verdict tag %d at byte %d" tag off)
         else begin
@@ -195,6 +199,16 @@ let manifest_of_string s =
     in
     let* () = contiguous 1 bands in
     Ok { shards; sealed; bands }
+
+let pp_bands fmt bands =
+  List.iter
+    (fun b ->
+      Format.fprintf fmt "@\nband n=%d classes=%d exact=%d non-exact=%d" b.n b.classes b.exact
+        b.non_exact)
+    bands;
+  let tot f = List.fold_left (fun acc b -> acc + f b) 0 bands in
+  Format.fprintf fmt "@\ntotal classes=%d exact=%d non-exact=%d" (tot (fun b -> b.classes))
+    (tot (fun b -> b.exact)) (tot (fun b -> b.non_exact))
 
 let completed m = match List.rev m.bands with [] -> 0 | b :: _ -> b.n
 

@@ -13,15 +13,15 @@
     A segment record is
 
     {v
-    crc32 (u32 LE, over everything after it) | tag (u8) |
+    crc32 (u32 LE, Core.Crc32 over everything after it) | tag (u8) |
     band (u8) | key len (u16 LE) | payload len (u32 LE) | key | payload
     v}
 
     with [tag] 0 for a BN-refuted (non-exact) prototile and 1 for an
-    exact one, [key] the canonical cell-list key
-    ({!Store.key_of_prototile}), and - for exact records - a payload of
-    the tiling line ({!Core.Codec.tiling_to_string}) followed by the
-    three certificate lines.  An index file is its magic, a u64 LE entry
+    exact one, [key] the canonical cell-list key ({!Core.Verdict.key}),
+    and - for exact records - a payload that is the verdict body
+    ({!Core.Verdict.body_to_string}: the tiling line followed by the
+    three certificate lines).  An index file is its magic, a u64 LE entry
     count, then [count] entries of [key hash (u64 LE) | record offset
     (u64 LE)] sorted by (hash, offset): lookup is binary search on the
     hash then a key-bytes comparison against the mapped segment.
@@ -93,6 +93,10 @@ type manifest = {
 
 val manifest_to_string : manifest -> string
 val manifest_of_string : string -> (manifest, string) result
+
+val pp_bands : Format.formatter -> band list -> unit
+(** One ["band n=.. classes=.. exact=.. non-exact=.."] line per band and
+    a ["total ..."] line, each preceded by a newline. *)
 
 val completed : manifest -> int
 (** Highest fully-checkpointed band, 0 for none. *)

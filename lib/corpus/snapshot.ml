@@ -154,16 +154,9 @@ let tiling_fields t hit =
 (* ---------- decode (the cold path) ---------- *)
 
 let entry t hit =
-  let ( let* ) = Result.bind in
   match verdict t hit with
   | `Non_exact -> Ok None
-  | `Exact -> (
-    match String.split_on_char '\n' (payload t hit) with
-    | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) ->
-      let* tiling = Core.Codec.tiling_of_string tiling_line in
-      let* certificate = Core.Certificate.of_string (String.concat "\n" cert_lines) in
-      Ok (Some (tiling, certificate))
-    | _ -> Error "malformed corpus payload")
+  | `Exact -> Result.map Option.some (Core.Verdict.body_of_string (payload t hit))
 
 (* ---------- verify ---------- *)
 
@@ -207,26 +200,19 @@ let verify ~dir:d =
                   if payload <> "" then fail "%s: non-exact record at byte %d has a payload" name off
                 | _ -> (
                   incr exact;
-                  match String.split_on_char '\n' payload with
-                  | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) -> (
-                    let tiling =
-                      match Core.Codec.tiling_of_string tiling_line with
-                      | Ok tl -> tl
-                      | Error e -> fail "%s: bad tiling at byte %d: %s" name off e
-                    in
-                    let cert =
-                      match Core.Certificate.of_string (String.concat "\n" cert_lines) with
-                      | Ok c -> c
-                      | Error e -> fail "%s: bad certificate at byte %d: %s" name off e
-                    in
-                    if Store.key_of_prototile (Tiling.Single.prototile tiling) <> key then
-                      fail "%s: key at byte %d is not the canonical key of its tiling" name off;
-                    match Core.Certificate.check cert with
-                    | Ok () -> ()
-                    | Error f ->
-                      fail "%s: certificate rejected at byte %d: %s" name off
-                        (Format.asprintf "%a" Core.Certificate.pp_failure f))
-                  | _ -> fail "%s: malformed exact payload at byte %d" name off));
+                  let tiling, cert =
+                    match Core.Verdict.body_of_string payload with
+                    | Ok tc -> tc
+                    | Error e -> fail "%s: bad exact payload at byte %d: %s" name off e
+                  in
+                  (match Core.Verdict.check_key ~key tiling cert with
+                  | Ok () -> ()
+                  | Error e -> fail "%s: record at byte %d: %s" name off e);
+                  match Core.Certificate.check cert with
+                  | Ok () -> ()
+                  | Error f ->
+                    fail "%s: certificate rejected at byte %d: %s" name off
+                      (Format.asprintf "%a" Core.Certificate.pp_failure f)));
                 let e, ne = try Hashtbl.find counts band with Not_found -> (0, 0) in
                 Hashtbl.replace counts band
                   (match tag with

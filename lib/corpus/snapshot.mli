@@ -4,9 +4,9 @@
     [Bigarray]) without reading, parsing or validating any record, so a
     fresh process is serving in O(1) regardless of corpus size - the
     Herman-Tixeuil "all work precomputed, zero work on the hot path"
-    philosophy applied to serving.  Contrast {!Store.open_}, which
-    replays its whole log and re-proves every certificate before the
-    first answer.
+    philosophy applied to serving.  Contrast the certificate store,
+    which replays its whole log and re-proves every certificate before
+    the first answer.
 
     {!find} is an FNV hash, a binary search over the mapped fixed-width
     index, and a key-bytes comparison against the mapped segment; a
@@ -44,7 +44,7 @@ val length : t -> int
 type hit
 
 val find : t -> string -> hit option
-(** Look up a canonical key ({!Store.key_of_prototile}). *)
+(** Look up a canonical key ({!Core.Verdict.key}). *)
 
 val band : t -> hit -> int
 val verdict : t -> hit -> [ `Exact | `Non_exact ]
@@ -66,7 +66,9 @@ val payload : t -> hit -> string
 
 val entry : t -> hit -> ((Tiling.Single.t * Core.Certificate.t) option, string) result
 (** Validating decode: [None] for a non-exact verdict, the revalidated
-    tiling and parsed certificate for an exact one. *)
+    tiling and parsed certificate for an exact one
+    ({!Core.Verdict.body_of_string}; the certificate is not re-proved -
+    that is {!verify}'s job). *)
 
 type verify_report = {
   records : int;
@@ -77,8 +79,8 @@ type verify_report = {
 
 val verify : dir:string -> (verify_report, string) result
 (** Full offline integrity check of a sealed corpus: every record's CRC
-    and framing, every key canonical for its tiling and reachable
-    through its shard's index (and only its own entry), every
+    and framing, every key accepted by {!Core.Verdict.check_key} and
+    reachable through its shard's index (and only its own entry), every
     certificate re-proved with {!Core.Certificate.check}, every index
     entry backed by a record, and the manifest's per-band counts in
     agreement with the records. *)

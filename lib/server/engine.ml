@@ -48,8 +48,7 @@ let add_corpus_hits t n =
   t.corpus_hits <- t.corpus_hits + n;
   t.served <- t.served + n
 
-let canonical_key tile =
-  Core.Codec.vecs_to_string (Prototile.cells (Symmetry.canonical tile))
+let canonical_key = Core.Verdict.key
 
 let stats t : Protocol.server_stats =
   let cache_hits, cache_misses, cache_evictions = Cache.counters t.cache in
@@ -69,17 +68,6 @@ let entry_of_stored : Store.entry -> entry = function
 let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
   | Found { tiling; certificate; _ } -> Store.Found { tiling; certificate }
-
-let flush_to_store t =
-  match t.store with
-  | None -> 0
-  | Some store ->
-    Cache.fold t.cache ~init:0 ~f:(fun written key entry ->
-        if Store.mem store key then written
-        else begin
-          Store.put store key (stored_of_entry entry);
-          written + 1
-        end)
 
 (* The wall clock is checked before each search stage (a single stage
    can overshoot; the bound is per-stage granular).  Returns [None] on
@@ -217,7 +205,7 @@ let handle_batch t reqs =
           | Stats | Shutdown -> Control
           | Slot { tile; _ } | Schedule tile | Tile_search tile ->
             let canon, g = Symmetry.canonicalize tile in
-            let key = Core.Codec.vecs_to_string (Prototile.cells canon) in
+            let key = Core.Verdict.key_of_canonical canon in
             (match
                Option.bind t.corpus (fun c ->
                    Option.map (fun h -> (c, h)) (Corpus.Snapshot.find c key))

@@ -89,13 +89,6 @@ val add_corpus_hits : t -> int -> unit
     Must be called from the thread that runs {!handle_batch}; the
     counters are not atomic. *)
 
-val flush_to_store : t -> int
-(** Write every memory-tier entry the store does not already hold
-    through to the store ({!Cache.fold} over the LRU, hottest first);
-    returns how many were written.  A no-op (0) without a store, or when
-    write-through already persisted everything - the belt-and-braces
-    shutdown path. *)
-
 val canonical_key : Prototile.t -> string
-(** The cache key: the canonical form's cell list, encoded.  Exposed for
-    tests and diagnostics. *)
+(** The cache key, {!Core.Verdict.key}.  Exposed for tests and
+    diagnostics. *)

@@ -38,8 +38,9 @@ type server_stats = {
 }
 
 (** Which amortization tier settled a tile reply - the observability
-    marker behind the warm-start acceptance check ("after [precompute],
-    every small query answers [store], never [fresh]").  [None] on lines
+    marker behind the warm-start acceptance check ("once a daemon has
+    answered every small query, a restarted one answers them [store],
+    never [fresh]").  [None] on lines
     from servers predating the marker; the codec treats the field as
     optional in both directions, so old-format lines still round-trip. *)
 type source =

@@ -109,6 +109,8 @@ val op_tiling_r : int
 
 val src_byte : Protocol.source option -> char
 
+(** {!Core.Crc32}'s incremental accumulator. *)
+
 val crc_init : int32
 val crc_string : int32 -> string -> int -> int -> int32
 val crc_bigstring : int32 -> bigstring -> int -> int -> int32

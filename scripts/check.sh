@@ -141,13 +141,21 @@ for artifact in $(git ls-files 'BENCH_*.json'); do
 done
 
 # Corpus pipeline smoke: a tiny campaign must build, report the exact
-# n<=5 class counts, and survive full offline verification (CRCs, index
-# reachability, certificate re-proofs).
+# n<=5 class counts, survive full offline verification (CRCs, index
+# reachability, certificate re-proofs), and answer all 21 of its classes
+# from the snapshot.
 corpus_dir=/tmp/tilesched-corpus-smoke
 rm -rf "$corpus_dir"
 dune exec bin/tilesched.exe -- corpus build -d "$corpus_dir" -n 5 > /dev/null
 dune exec bin/tilesched.exe -- corpus stats -d "$corpus_dir" | grep -q 'total classes=21 exact=18 non-exact=3'
 dune exec bin/tilesched.exe -- corpus verify -d "$corpus_dir" | grep -q 'ok (21 records'
+tilesched=_build/default/bin/tilesched.exe
+n_corpus=$("$tilesched" corpus requests -n 5 \
+  | "$tilesched" serve --corpus "$corpus_dir" 2> /dev/null | grep -c 'src=corpus')
+if [ "$n_corpus" != 21 ]; then
+  echo "error: corpus smoke: $n_corpus of 21 replies answered src=corpus" >&2
+  exit 1
+fi
 rm -rf "$corpus_dir"
 
 # The committed BENCH_8.json must show the mmap snapshot beating the

@@ -1,5 +1,6 @@
 (* Tests for the scheduling core: Theorems 1 and 2, optimality, finite
-   restriction, mobile sensors. *)
+   restriction, mobile sensors, and the CRC-32 every persisted frame
+   carries. *)
 open Zgeom
 open Lattice
 
@@ -706,6 +707,34 @@ let qcheck_tile_is_clique_random =
   QCheck.Test.make ~name:"random prototiles are cliques" ~count:200 arb
     Core.Optimality.tile_is_clique
 
+(* --- CRC-32 --- *)
+
+let test_crc32_vector () =
+  (* The classic IEEE 802.3 check value. *)
+  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Core.Crc32.digest "123456789" 0 9)
+
+let crc_kib = String.init 1024 (fun i -> Char.chr ((i * 131 + (i lsr 3)) land 0xff))
+
+let test_crc32_incremental () =
+  let n = String.length crc_kib in
+  let whole = Core.Crc32.string Core.Crc32.init crc_kib 0 n in
+  for k = 0 to n do
+    let split = Core.Crc32.(string (string init crc_kib 0 k) crc_kib k (n - k)) in
+    if split <> whole then Alcotest.failf "split at offset %d differs from one pass" k
+  done
+
+let test_crc32_bigstring () =
+  let n = String.length crc_kib in
+  let big = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+  String.iteri (fun i c -> Bigarray.Array1.set big i c) crc_kib;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check int32)
+        (Printf.sprintf "bigstring = string on [%d, +%d)" pos len)
+        (Core.Crc32.string Core.Crc32.init crc_kib pos len)
+        (Core.Crc32.bigstring Core.Crc32.init big pos len))
+    [ (0, n); (0, 0); (1, 1); (17, 500); (n - 3, 3) ]
+
 let () =
   Alcotest.run "core"
     [
@@ -768,6 +797,12 @@ let () =
           qc qcheck_conflict_adj_symmetric;
           qc qcheck_codec_random_schedules;
           qc qcheck_codec_mutation_total;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "check value" `Quick test_crc32_vector;
+          Alcotest.test_case "incremental split = one pass" `Quick test_crc32_incremental;
+          Alcotest.test_case "bigstring = string" `Quick test_crc32_bigstring;
         ] );
       ( "mobile",
         [

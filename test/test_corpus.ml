@@ -1,8 +1,10 @@
 (* Tests for the corpus subsystem: the streaming polyomino iterator, the
-   BN-filtered campaign (counts, resume, in-process crash followed by a
-   byte-identical rebuild), the mmap snapshot (lookup, zero-copy splice,
-   offline verification), the engine's corpus tier (src=corpus with zero
-   searches), and the differential oracle pinning the BN decision to the
+   BN-filtered campaign (counts, resume, shard-count pinning, in-process
+   crash followed by a byte-identical rebuild), the mmap snapshot
+   (lookup, zero-copy splice, offline verification), the engine's corpus
+   tier (src=corpus with zero searches), the cross-format differential
+   pinning the corpus and the certificate store to one verdict codec,
+   and the differential oracle pinning the BN decision to the
    exact-cover search ground truth for every class up to area 8. *)
 
 open Lattice
@@ -66,6 +68,25 @@ let test_campaign_counts_and_skip () =
       let r2 = ok_or_fail (Campaign.run ~dir ~max_n:6 ()) in
       Alcotest.(check int) "all six bands skipped" 6 r2.Campaign.skipped_bands;
       check_bands_to_6 r2.Campaign.bands)
+
+(* The shard count is part of a corpus's layout: leaving it out resumes
+   with the corpus's own count, and naming a different one - the old
+   default 8 included - is refused before anything is written. *)
+let test_explicit_shards_must_match () =
+  with_temp_dir (fun dir ->
+      let r = ok_or_fail (Campaign.run ~shards:4 ~dir ~max_n:3 ()) in
+      Alcotest.(check int) "built with 4 shards" 4 r.Campaign.shards;
+      let manifest () = read_file (Filename.concat dir Layout.manifest_name) in
+      let before = manifest () in
+      (match Campaign.run ~shards:8 ~dir ~max_n:4 () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "an explicit 8 against a 4-shard corpus must be refused");
+      Alcotest.(check string) "refused run left the manifest alone" before (manifest ());
+      let r = ok_or_fail (Campaign.run ~dir ~max_n:4 ()) in
+      Alcotest.(check int) "absent shards resumes with the corpus's count" 4 r.Campaign.shards;
+      Alcotest.(check int) "resumed past three bands" 3 r.Campaign.skipped_bands;
+      let r = ok_or_fail (Campaign.run ~shards:4 ~dir ~max_n:4 ()) in
+      Alcotest.(check int) "a matching explicit count is accepted" 4 r.Campaign.shards)
 
 exception Kaboom
 
@@ -243,6 +264,99 @@ let test_protocol_corpus_fields () =
     Alcotest.(check int) "absent corpus_hits defaults to 0" 0 s'.Protocol.corpus_hits
   | _ -> Alcotest.fail "old-format stats line must decode"
 
+(* ---------- store / corpus differential ---------- *)
+
+let with_temp_file f =
+  let path = Filename.temp_file "tilesched-corpus" ".log" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+let exact_exn tile =
+  match Campaign.decide tile with
+  | Campaign.Exact { tiling; certificate } -> (tiling, certificate)
+  | Campaign.Non_exact -> Alcotest.failf "expected an exact tile: %s" (Prototile.to_string tile)
+
+(* Both formats persist the same verdict: every class up to area 6,
+   written to the store and read back after a reopen, and written by the
+   campaign and decoded through the snapshot, must give the same
+   (tiling, certificate).  Then one record per format keyed by a tile
+   other than its tiling's: the store drops it at recovery and [verify]
+   rejects the corpus, both through the shared key check. *)
+let test_store_corpus_differential () =
+  with_temp_dir (fun dir ->
+      with_temp_file (fun path ->
+          ignore (ok_or_fail (Campaign.run ~dir ~max_n:6 ()));
+          let snap = ok_or_fail (Snapshot.open_ dir) in
+          let store = Store.open_ path in
+          Polyomino.enumerate_free_iter ~max_area:6 (fun ~area:_ t ->
+              Store.put store (Core.Verdict.key t)
+                (match Campaign.decide t with
+                | Campaign.Exact { tiling; certificate } -> Store.Found { tiling; certificate }
+                | Campaign.Non_exact -> Store.No_tiling));
+          Store.close store;
+          let store = Store.open_ path in
+          Alcotest.(check int) "store replays every class" 56 (Store.recovery store).Store.live;
+          Alcotest.(check int) "store drops nothing" 0 (Store.recovery store).Store.dropped;
+          let encode (tiling, certificate) = Core.Verdict.body_to_string tiling certificate in
+          Polyomino.enumerate_free_iter ~max_area:6 (fun ~area:_ t ->
+              let key = Core.Verdict.key t in
+              match (Store.find store key, Option.map (Snapshot.entry snap) (Snapshot.find snap key)) with
+              | Some (Store.Found { tiling; certificate }), Some (Ok (Some from_corpus)) ->
+                Alcotest.(check bool) "same prototile" true
+                  (Prototile.equal (Tiling.Single.prototile tiling)
+                     (Tiling.Single.prototile (fst from_corpus)));
+                Alcotest.(check string) ("same verdict for " ^ key)
+                  (encode (tiling, certificate)) (encode from_corpus)
+              | Some Store.No_tiling, Some (Ok None) -> ()
+              | _ -> Alcotest.failf "store and corpus disagree on %s" key);
+          Store.close store));
+  (* The monomino's key over the domino's verdict. *)
+  let one = Symmetry.canonical (Prototile.of_cells [ Zgeom.Vec.make2 0 0 ]) in
+  let bar = Symmetry.canonical (Prototile.of_cells [ Zgeom.Vec.make2 0 0; Zgeom.Vec.make2 1 0 ]) in
+  let key = Core.Verdict.key one in
+  let tiling, certificate = exact_exn bar in
+  let body = Core.Verdict.body_to_string tiling certificate in
+  with_temp_file (fun path ->
+      let store = Store.open_ path in
+      let good, good_cert = exact_exn one in
+      Store.put store key (Store.Found { tiling = good; certificate = good_cert });
+      Store.close store;
+      let payload =
+        Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ] ^ "\n" ^ body
+      in
+      let frame = Bytes.create 9 in
+      Bytes.set frame 0 'R';
+      Bytes.set_int32_le frame 1 (Int32.of_int (String.length payload));
+      Bytes.set_int32_le frame 5 (Core.Crc32.digest payload 0 (String.length payload));
+      Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_bytes oc frame;
+          Out_channel.output_string oc payload);
+      let store = Store.open_ path in
+      let r = Store.recovery store in
+      Alcotest.(check int) "store drops the mismatched record" 1 r.Store.dropped;
+      Alcotest.(check int) "store keeps the good one" 1 r.Store.records;
+      Store.close store);
+  with_temp_dir (fun dir ->
+      ignore (ok_or_fail (Campaign.run ~dir ~max_n:1 ()));
+      let seg =
+        List.find
+          (fun f -> Filename.check_suffix f ".seg"
+                    && String.length (read_file (Filename.concat dir f)) > Layout.magic_len)
+          (Array.to_list (Sys.readdir dir))
+      in
+      Out_channel.with_open_bin (Filename.concat dir seg) (fun oc ->
+          Out_channel.output_string oc
+            (Layout.seg_magic
+            ^ Layout.encode_record ~band:1 ~tag:Layout.tag_exact ~key ~payload:body));
+      match Snapshot.verify ~dir with
+      | Ok _ -> Alcotest.fail "verify must reject a record keyed by another tile"
+      | Error e ->
+        let needle = "canonical key" in
+        let rec contains i =
+          i + String.length needle <= String.length e
+          && (String.sub e i (String.length needle) = needle || contains (i + 1))
+        in
+        if not (contains 0) then Alcotest.failf "rejected for the wrong reason: %s" e)
+
 (* ---------- differential oracle ---------- *)
 
 (* The BN filter is a complete decision procedure for polyominoes
@@ -289,6 +403,8 @@ let () =
             test_campaign_counts_and_skip;
           Alcotest.test_case "crash mid-band, resume byte-identical" `Quick
             test_crash_resume_byte_identical;
+          Alcotest.test_case "explicit shards must match the corpus" `Quick
+            test_explicit_shards_must_match;
         ] );
       ( "snapshot",
         [
@@ -301,6 +417,11 @@ let () =
             test_engine_corpus_tier;
           Alcotest.test_case "protocol: src=corpus and corpus_hits" `Quick
             test_protocol_corpus_fields;
+        ] );
+      ( "formats",
+        [
+          Alcotest.test_case "store and corpus decode equal verdicts" `Quick
+            test_store_corpus_differential;
         ] );
       ( "oracle",
         [

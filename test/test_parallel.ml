@@ -355,10 +355,9 @@ let test_kernel_exception () =
     [ 2; 4; 8 ]
 
 let test_kernel_reentrant () =
-  (* The server engine and the store precompute call the kernel from
-     inside [Parallel.map] on their own pool, so [Steal.run] then starts
-     under a busy pool and must degrade to inline without changing the
-     answer. *)
+  (* The server engine calls the kernel from inside [Parallel.map] on
+     its own pool, so [Steal.run] then starts under a busy pool and must
+     degrade to inline without changing the answer. *)
   let instances =
     [ ("skew n=20", Microbench.skew_instance ~n:20);
       ("S/Z 4x4", (Lazy.force sz_period, [ Prototile.tetromino `S; Prototile.tetromino `Z ])) ]

@@ -1,6 +1,7 @@
 (* Tests for the persistent certificate store: free-polyomino
-   enumeration (the offline producer's domain), log roundtrips and
-   supersede/compaction semantics, crash-recovery under truncation and
+   enumeration (the domain of every class key), log roundtrips and
+   supersede/compaction semantics, a failed compaction that must not
+   take the log down with it, crash-recovery under truncation and
    bit-flip corruption, and the engine's store tier (source markers,
    warm-start without searches). *)
 
@@ -56,10 +57,6 @@ let test_enumerate_canonical_reps () =
     [ 1; 2; 3; 4; 5 ]
 
 (* ---------- log roundtrip / supersede / compaction ---------- *)
-
-let test_crc32_vector () =
-  (* The classic IEEE 802.3 check value. *)
-  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Store.crc32 "123456789")
 
 let test_roundtrip_supersede_compact () =
   with_temp_store (fun path ->
@@ -123,7 +120,7 @@ let test_put_validation () =
 
 let test_auto_compaction () =
   with_temp_store (fun path ->
-      let store = Store.open_ ~auto_compact_ratio:0.5 path in
+      let store = Store.open_ path in
       let one = Prototile.of_cells [ v2 0 0 ] in
       let key = Store.key_of_prototile one in
       (* Rewrite one key many times: dead records pile up and must
@@ -139,6 +136,48 @@ let test_auto_compaction () =
         "log shrank to the live set"
         true
         ((Store.recovery store).Store.records < 64);
+      Store.close store)
+
+(* A snapshot that cannot be written (here: its temp path is a
+   directory) must leave the store open on its old log: the explicit
+   [compact] raises, later puts - including the automatic snapshots
+   they keep attempting - succeed, and a reopen recovers everything. *)
+let test_failed_compaction_keeps_log () =
+  with_temp_store (fun path ->
+      let tmp = path ^ ".compact" in
+      let s = Symmetry.canonical (tet `S) in
+      let one = Prototile.of_cells [ v2 0 0 ] in
+      let bar = Symmetry.canonical (Prototile.of_cells [ v2 0 0; v2 1 0 ]) in
+      let put store tile entry = Store.put store (Store.key_of_prototile tile) entry in
+      let store = Store.open_ path in
+      put store s (found_entry s);
+      put store one Store.No_tiling;
+      Unix.mkdir tmp 0o755;
+      Fun.protect
+        ~finally:(fun () -> Unix.rmdir tmp)
+        (fun () ->
+          (match Store.compact store with
+          | () -> Alcotest.fail "compacting onto a directory must fail"
+          | exception Sys_error _ -> ());
+          put store bar (found_entry bar);
+          (* 40 dead records cross the auto-compaction threshold; every
+             attempt fails the same way and none may fail the put. *)
+          for _ = 1 to 40 do
+            put store one Store.No_tiling
+          done;
+          Alcotest.(check int) "no snapshot succeeded" 0 (Store.compactions store);
+          Alcotest.(check int) "live set intact" 3 (Store.length store);
+          Store.close store);
+      let store = Store.open_ path in
+      let r = Store.recovery store in
+      Alcotest.(check int) "every frame replayed" 43 r.Store.records;
+      Alcotest.(check int) "nothing dropped" 0 r.Store.dropped;
+      Alcotest.(check int) "nothing truncated" 0 r.Store.truncated_bytes;
+      Alcotest.(check int) "three live keys" 3 r.Store.live;
+      Alcotest.(check int) "the deferred snapshot ran at reopen" 1 (Store.compactions store);
+      (match Store.find store (Store.key_of_prototile bar) with
+      | Some (Store.Found _) -> ()
+      | _ -> Alcotest.fail "the put after the failed compaction was lost");
       Store.close store)
 
 (* ---------- crash recovery ---------- *)
@@ -244,12 +283,19 @@ let orientations tile =
   let rec rots k t = if k = 0 then [] else t :: rots (k - 1) (Prototile.rot90 t) in
   rots 4 tile @ rots 4 (Prototile.reflect tile)
 
+let classes_up_to_4 = List.concat_map Polyomino.enumerate_free [ 1; 2; 3; 4 ]
+
 let test_warm_store_answers_without_search () =
   with_temp_store (fun path ->
+      (* Seed through the engine's write-through: one search per class. *)
       let store = Store.open_ path in
-      let report = Store.Precompute.run ~store ~max_area:4 () in
-      Alcotest.(check int) "canonical classes up to area 4" 9 report.Store.Precompute.classes;
-      Alcotest.(check int) "nothing skipped on a fresh store" 0 report.Store.Precompute.skipped;
+      let e = Engine.create ~store () in
+      List.iter
+        (fun tile -> ignore (Engine.handle e (Protocol.Tile_search tile)))
+        classes_up_to_4;
+      Alcotest.(check int) "one search per class up to area 4" 9
+        (Engine.stats e).Protocol.searches;
+      Alcotest.(check int) "every verdict written through" 9 (Store.length store);
       Store.close store;
       (* The acceptance bar: a fresh daemon on the warmed store answers
          every area-<=4 query, in any orientation, without searching. *)
@@ -270,34 +316,11 @@ let test_warm_store_answers_without_search () =
                   | None -> "none")
               | _ -> Alcotest.fail "expected a tile verdict")
             (orientations tile))
-        (Store.Precompute.tiles_up_to 4);
+        classes_up_to_4;
       let s = Engine.stats e in
       Alcotest.(check int) "zero searches on a warm store" 0 s.Protocol.searches;
       Alcotest.(check bool) "store tier was exercised" true (s.Protocol.store_hits > 0);
       Store.close store)
-
-let test_precompute_skips_settled () =
-  with_temp_store (fun path ->
-      let store = Store.open_ path in
-      let r1 = Store.Precompute.run ~store ~max_area:3 () in
-      let r2 = Store.Precompute.run ~store ~max_area:3 () in
-      Alcotest.(check int) "first run settles everything" 0 r1.Store.Precompute.skipped;
-      Alcotest.(check int) "second run searches nothing"
-        r2.Store.Precompute.classes r2.Store.Precompute.skipped;
-      Alcotest.(check int) "no new tilings" 0 r2.Store.Precompute.found;
-      Store.close store)
-
-let test_flush_to_store () =
-  with_temp_store (fun path ->
-      let store = Store.open_ path in
-      let e = Engine.create ~store () in
-      ignore (Engine.handle e (Protocol.Tile_search (tet `S)));
-      (* Write-through already persisted the search result. *)
-      Alcotest.(check int) "nothing left to flush" 0 (Engine.flush_to_store e);
-      Store.close store);
-  let e = Engine.create () in
-  ignore (Engine.handle e (Protocol.Tile_search (tet `S)));
-  Alcotest.(check int) "no store, no flush" 0 (Engine.flush_to_store e)
 
 let () =
   Alcotest.run "store"
@@ -310,12 +333,13 @@ let () =
         ] );
       ( "log",
         [
-          Alcotest.test_case "crc32 check value" `Quick test_crc32_vector;
           Alcotest.test_case "roundtrip, supersede, compaction" `Quick
             test_roundtrip_supersede_compact;
           Alcotest.test_case "put rejects non-canonical records" `Quick test_put_validation;
           Alcotest.test_case "dead records trigger auto-compaction" `Quick
             test_auto_compaction;
+          Alcotest.test_case "failed compaction keeps the log open" `Quick
+            test_failed_compaction_keeps_log;
         ] );
       ( "recovery",
         [
@@ -330,9 +354,5 @@ let () =
             test_engine_source_tiers;
           Alcotest.test_case "warm store answers without searching" `Slow
             test_warm_store_answers_without_search;
-          Alcotest.test_case "precompute skips settled classes" `Quick
-            test_precompute_skips_settled;
-          Alcotest.test_case "flush_to_store is a no-op after write-through" `Quick
-            test_flush_to_store;
         ] );
     ]
