@@ -840,11 +840,12 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Statically check the source tree against the project invariants: syntactic rules \
-          R1-R5 plus the typedtree dataflow layer - interprocedural determinism taint (R1'), \
-          lock discipline (R6), and resource lifetime (R7). Unused allowlist entries (A0) and \
-          stale baseline entries (B0) are findings too. Exits 1 if any finding survives the \
-          baseline.")
+         "Statically check the source tree against the project invariants. Every file is \
+          checked on its typedtree (the current .cmt from $(b,dune build @check), else typed \
+          in-process); a file with neither is a P0 finding. Rules: R1-R5, interprocedural \
+          determinism taint (R1'), lock discipline (R6), and resource lifetime (R7). Unused \
+          allowlist entries (A0) and stale baseline entries (B0) are findings too. Exits 1 if \
+          any finding survives the baseline.")
     Term.(
       term_result (const run $ format_arg $ baseline_arg $ allow_stale_arg $ root_arg $ rules_arg))
 

@@ -142,7 +142,7 @@ let resolve t ~file path =
     in
     List.find_map (fun key -> Hashtbl.find_opt t.by_key key) candidates)
 
-(* ---------- call-site extraction (for tests and diagnostics) ---------- *)
+(* ---------- call-site extraction ---------- *)
 
 let calls t (d : def) =
   let acc = ref [] in
@@ -155,7 +155,7 @@ let calls t (d : def) =
           | Typedtree.Texp_ident (p, _, _) -> (
             match resolve t ~file:d.def_file p with
             | Some j when not (Ident.same t.defs.(j).def_ident d.def_ident) ->
-              acc := (t.defs.(j).def_key, e.Typedtree.exp_loc) :: !acc
+              acc := (j, e.Typedtree.exp_loc) :: !acc
             | _ -> ())
           | _ -> ());
           Tast_iterator.default_iterator.expr sub e);

@@ -28,11 +28,12 @@ val normalize : Path.t -> string list
     ([Corpus__Campaign] -> [Campaign], alias modules dropped) and
     stripping a leading [Stdlib]. *)
 
+val pattern_idents : 'k Typedtree.general_pattern -> (Ident.t * Location.t) list
+(** The identifiers a [let] pattern names at its top: a variable and its
+    [as] aliases. *)
+
 val build : Typed_load.typed_file list -> t
 
-val resolve : t -> file:string -> Path.t -> int option
-(** Resolve a reference occurring in [file] to an index into [defs]. *)
-
-val calls : t -> def -> (string * Location.t) list
-(** Resolved intra-library references inside a definition's body, in
-    source order, excluding self-references. *)
+val calls : t -> def -> (int * Location.t) list
+(** Resolved intra-library references inside a definition's body, as
+    indices into [defs] in source order, excluding self-references. *)

@@ -1,292 +1,293 @@
-(* Parsetree walks for rules R1-R4 (R5 is a file-system check and lives
-   in the driver).  Everything here is purely syntactic: we match on the
-   surface tree the stock compiler-libs parser produces, before any
-   typing, so the checks are fast, dependency-free, and run on files
-   that do not even typecheck yet. *)
+(* Typedtree walks for rules R1-R4 (R5 is a file-system check and lives
+   in the driver; R1', R6 and R7 are the flow analyses of Dataflow).
+   Every check matches on resolved paths, so [let open Unix in
+   gettimeofday ()] and [module U = Unix ... U.gettimeofday ()] are the
+   same construct as [Unix.gettimeofday ()]. *)
 
-open Parsetree
-module StrSet = Set.Make (String)
+open Typedtree
 
-(* Longident as a head-first path, with a leading [Stdlib] stripped so
-   [Stdlib.exit] and [exit] (or [Stdlib.Hashtbl.iter] and
-   [Hashtbl.iter]) are the same construct. *)
-let ident_path lid =
-  let rec go acc = function
-    | Longident.Lident s -> s :: acc
-    | Longident.Ldot (l, s) -> go (s :: acc) l
-    | Longident.Lapply _ -> acc
+let default = Tast_iterator.default_iterator
+
+let on_exprs f = { default with expr = (fun sub e -> f e; default.expr sub e) }
+
+(* ---------- path resolution ---------- *)
+
+(* A file-local [module X = <path>] (at any depth, or as a [let module])
+   is expanded before matching; everything else is [Callgraph.normalize]. *)
+let resolver structure =
+  let aliases = ref [] in
+  let rec alias_of me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> alias_of me
+    | _ -> None
   in
-  match go [] lid with "Stdlib" :: rest -> rest | path -> path
+  let add id me = Option.iter (fun p -> aliases := (id, p) :: !aliases) (alias_of me) in
+  let it =
+    {
+      (on_exprs (fun e ->
+           match e.exp_desc with Texp_letmodule (Some id, _, _, me, _) -> add id me | _ -> ()))
+      with
+      module_binding =
+        (fun sub mb ->
+          Option.iter (fun id -> add id mb.mb_expr) mb.mb_id;
+          default.module_binding sub mb);
+    }
+  in
+  it.structure it structure;
+  let rec expand = function
+    | Path.Pident id as p -> (
+      match List.find_opt (fun (a, _) -> Ident.same a id) !aliases with
+      | Some (_, target) -> expand target
+      | None -> p)
+    | Path.Pdot (p, s) -> Path.Pdot (expand p, s)
+    | p -> p
+  in
+  fun path -> Callgraph.normalize (expand path)
 
-let head_ident e =
-  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (ident_path txt) | _ -> None
+let head ~resolve f =
+  match f.exp_desc with Texp_ident (p, _, _) -> Some (resolve p) | _ -> None
 
-type ctx = {
-  file : string;
-  mutable findings : Finding.t list;
-  mutable allow_uses : (string * string) list;  (** (rule, allow prefix) that suppressed *)
-}
+(* Every [let] binding introduced by a structure item at any module
+   depth: the roots the per-binding rules (R4, R6, R7) analyze. *)
+let structure_roots structure =
+  let acc = ref [] in
+  let it =
+    {
+      default with
+      structure_item =
+        (fun sub item ->
+          (match item.str_desc with
+          | Tstr_value (_, vbs) -> acc := List.rev_append vbs !acc
+          | _ -> ());
+          default.structure_item sub item);
+    }
+  in
+  it.structure it structure;
+  List.rev !acc
 
-(* Applicability-aware reporting: an allowlisted file swallows the
-   finding but records which entry earned its keep, so the driver can
-   flag entries that suppress nothing (A0). *)
-let report ctx ~rule ~loc fmt =
-  Printf.ksprintf
-    (fun message ->
-      match Rules.find rule with
-      | None -> ()
-      | Some meta -> (
-        match Rules.applicability meta ctx.file with
-        | Rules.Applies ->
-          ctx.findings <-
-            Finding.make ~rule ~severity:Finding.Error ~file:ctx.file ~loc message
-            :: ctx.findings
-        | Rules.Allowlisted prefix -> ctx.allow_uses <- (rule, prefix) :: ctx.allow_uses
-        | Rules.Out_of_scope -> ()))
-    fmt
+(* ---------- R1: determinism seeds ---------- *)
 
-let rule_in_scope id file =
-  match Rules.find id with Some meta -> Rules.in_scope meta file | None -> false
+let sorting_head = function
+  | [ ("List" | "Array"); ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ] -> true
+  | _ -> false
 
-(* ---------- pattern variables (for the R3 scope analysis) ---------- *)
+(* The seed constructs, each with the reason it is one. *)
+let seed_construct ~in_sort = function
+  | [ "Unix"; "gettimeofday" ] ->
+    Some ("Unix.gettimeofday", "reads wall-clock; deterministic code must not branch on it")
+  | [ "Sys"; "time" ] ->
+    Some ("Sys.time", "reads the process clock; deterministic code must not branch on wall-clock")
+  | [ "Random"; "self_init" ] ->
+    Some
+      ( "Random.self_init",
+        "seeds from the environment; use an explicit Prng seed so runs are reproducible" )
+  | [ "Hashtbl"; (("iter" | "fold") as fn) ] when not in_sort ->
+    Some
+      ( "Hashtbl." ^ fn,
+        "visits bindings in unspecified order; sort the bindings (wrap the fold in List.sort) \
+         before they feed fan-out or serialized output" )
+  | _ -> None
 
-let rec pat_vars p acc =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> StrSet.add txt acc
-  | Ppat_alias (sub, { txt; _ }) -> pat_vars sub (StrSet.add txt acc)
-  | Ppat_tuple ps | Ppat_array ps -> List.fold_left (fun acc p -> pat_vars p acc) acc ps
-  | Ppat_construct (_, Some (_, sub)) | Ppat_variant (_, Some sub) -> pat_vars sub acc
-  | Ppat_record (fields, _) -> List.fold_left (fun acc (_, p) -> pat_vars p acc) acc fields
-  | Ppat_or (a, b) -> pat_vars a (pat_vars b acc)
-  | Ppat_constraint (sub, _) | Ppat_lazy sub | Ppat_exception sub | Ppat_open (_, sub) ->
-    pat_vars sub acc
-  | _ -> acc
+(* The one seed walk, shared by R1 and R1': a Hashtbl traversal inside
+   the arguments of a List/Array sort is ordered output, not a seed. *)
+let seed_iterator ~resolve f =
+  let in_sort = ref false in
+  let expr sub e =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> (
+      match seed_construct ~in_sort:!in_sort (resolve p) with
+      | Some (construct, why) -> f construct why e.exp_loc
+      | None -> ())
+    | Texp_apply (fn, _)
+      when (match head ~resolve fn with Some c -> sorting_head c | None -> false) ->
+      let saved = !in_sort in
+      in_sort := true;
+      default.expr sub e;
+      in_sort := saved
+    | _ -> default.expr sub e
+  in
+  { default with expr }
+
+let seeds ~resolve e =
+  let acc = ref [] in
+  let it = seed_iterator ~resolve (fun construct _ loc -> acc := (construct, loc) :: !acc) in
+  it.expr it e;
+  List.rev !acc
+
+let r1 ~resolve ~file:_ structure =
+  let acc = ref [] in
+  let it =
+    seed_iterator ~resolve (fun construct why loc -> acc := (loc, construct ^ " " ^ why) :: !acc)
+  in
+  it.structure it structure;
+  !acc
+
+(* ---------- R2: forbidden constructs ---------- *)
+
+let r2 ~resolve ~file structure =
+  let acc = ref [] in
+  let it =
+    on_exprs (fun e ->
+        match e.exp_desc with
+        | Texp_ident (p, _, _) -> (
+          let hit msg = acc := (e.exp_loc, msg) :: !acc in
+          match resolve p with
+          | [ "Obj"; "magic" ] -> hit "Obj.magic is forbidden: it defeats the type system"
+          | "Marshal" :: _ ->
+            hit "Marshal is forbidden: wire data must go through the validating Codec layer"
+          | [ "exit" ] when not (Rules.prefixed "bin/" file) ->
+            hit "exit outside bin/: libraries must return, not terminate"
+          | _ -> ())
+        | _ -> ())
+  in
+  it.structure it structure;
+  !acc
 
 (* ---------- R3: task purity ---------- *)
-
-(* Fan-out entry points of [Parallel] whose function argument runs on
-   worker domains. *)
-let fanout_functions = [ "map"; "map_array"; "filter_map"; "concat_map"; "parallel_for" ]
 
 let mutation_kind = function
   | [ ":=" ] -> Some "reference assignment (:=)"
   | [ "incr" ] | [ "decr" ] -> Some "incr/decr"
   | [ "Hashtbl"; ("add" | "replace" | "remove" | "reset" | "clear") ] -> Some "Hashtbl mutation"
   | [ ("Array" | "Bytes"); ("set" | "unsafe_set" | "fill" | "blit") ] -> Some "array mutation"
-  | [ "Buffer"; s ] when String.length s >= 4 && String.sub s 0 4 = "add_" ->
-    Some "Buffer mutation"
+  | [ "Buffer"; s ] when String.starts_with ~prefix:"add_" s -> Some "Buffer mutation"
   | [ "Buffer"; ("clear" | "reset" | "truncate") ] -> Some "Buffer mutation"
   | [ "Queue"; ("add" | "push" | "pop" | "take" | "clear" | "transfer") ]
   | [ "Stack"; ("push" | "pop" | "clear") ] -> Some "Queue/Stack mutation"
   | _ -> None
 
-(* Walk the body of a closure submitted to a fan-out entry point.
-   [bound] holds every name introduced inside the closure (parameters,
-   lets, match/try cases, for indices): mutating those is task-local and
-   fine; mutating anything else is captured state shared with other
-   domains, i.e. a race that breaks the determinism contract. *)
-let rec scan_task ctx bound e =
-  let flag_target ~loc ~what target =
-    match head_ident target with
-    | Some [ name ] when StrSet.mem name bound -> ()
-    | Some path ->
-      report ctx ~rule:"R3" ~loc
+(* Fan-out entry points of [Parallel] whose function arguments run on
+   worker domains.  [Steal.run] receives its closures nested inside task
+   tuples and arrays, so for the stealing entry points every lambda
+   anywhere in the arguments is a task. *)
+let fanout = function
+  | [ "Parallel"; ("map" | "map_array" | "filter_map" | "concat_map" | "parallel_for") ] ->
+    Some `Direct
+  | [ "Parallel"; "Steal"; ("run" | "spawn") ] | [ "Steal"; ("run" | "spawn") ] -> Some `Nested
+  | _ -> None
+
+let is_function e = match e.exp_desc with Texp_function _ -> true | _ -> false
+
+let outermost_lambdas e =
+  let acc = ref [] in
+  let expr sub e = if is_function e then acc := e :: !acc else default.expr sub e in
+  let it = { default with expr } in
+  it.expr it e;
+  List.rev !acc
+
+(* Identifiers bound anywhere inside a task (parameters, lets, cases,
+   for indices): mutating one of them is task-local; mutating anything
+   else is captured state shared with other domains. *)
+let bound_idents task =
+  let acc = ref [] in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun sub p ->
+    (match p.pat_desc with
+    | Tpat_var (id, _) | Tpat_alias (_, id, _) -> acc := id :: !acc
+    | _ -> ());
+    default.pat sub p
+  in
+  let it =
+    {
+      (on_exprs (fun e ->
+           match e.exp_desc with Texp_for (id, _, _, _, _, _) -> acc := id :: !acc | _ -> ()))
+      with
+      pat;
+    }
+  in
+  it.expr it task;
+  !acc
+
+let task_mutations ~resolve acc task =
+  let bound = bound_idents task in
+  let report loc fmt = Printf.ksprintf (fun message -> acc := (loc, message) :: !acc) fmt in
+  let flag loc what target =
+    match target.exp_desc with
+    | Texp_ident (Path.Pident id, _, _) when List.exists (Ident.same id) bound -> ()
+    | Texp_ident (p, _, _) ->
+      report loc
         "%s of `%s` captured from outside a closure submitted to Parallel fan-out; hoist the \
          mutation out of the task or make the state task-local"
-        what (String.concat "." path)
-    | None ->
-      report ctx ~rule:"R3" ~loc
-        "%s of a non-local value inside a closure submitted to Parallel fan-out" what
+        what (String.concat "." (resolve p))
+    | _ -> report loc "%s of a non-local value inside a closure submitted to Parallel fan-out" what
   in
-  let scan_cases bound cases =
-    List.iter
-      (fun c ->
-        let bound = pat_vars c.pc_lhs bound in
-        Option.iter (scan_task ctx bound) c.pc_guard;
-        scan_task ctx bound c.pc_rhs)
-      cases
+  let it =
+    on_exprs (fun e ->
+        match e.exp_desc with
+        | Texp_apply (f, (_, Some target) :: _) -> (
+          match Option.bind (head ~resolve f) mutation_kind with
+          | Some what -> flag e.exp_loc what target
+          | None -> ())
+        | Texp_setfield (target, _, _, _) -> flag e.exp_loc "field mutation (<-)" target
+        | Texp_setinstvar _ ->
+          report e.exp_loc
+            "instance-variable mutation inside a closure submitted to Parallel fan-out"
+        | _ -> ())
   in
-  match e.pexp_desc with
-  | Pexp_fun (_, default, pat, body) ->
-    Option.iter (scan_task ctx bound) default;
-    scan_task ctx (pat_vars pat bound) body
-  | Pexp_function cases -> scan_cases bound cases
-  | Pexp_let (rec_flag, vbs, body) ->
-    let bound' = List.fold_left (fun acc vb -> pat_vars vb.pvb_pat acc) bound vbs in
-    let rhs_bound = match rec_flag with Asttypes.Recursive -> bound' | Nonrecursive -> bound in
-    List.iter (fun vb -> scan_task ctx rhs_bound vb.pvb_expr) vbs;
-    scan_task ctx bound' body
-  | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-    scan_task ctx bound scrut;
-    scan_cases bound cases
-  | Pexp_for (pat, lo, hi, _, body) ->
-    scan_task ctx bound lo;
-    scan_task ctx bound hi;
-    scan_task ctx (pat_vars pat bound) body
-  | Pexp_setfield (target, _, value) ->
-    flag_target ~loc:e.pexp_loc ~what:"field mutation (<-)" target;
-    scan_task ctx bound target;
-    scan_task ctx bound value
-  | Pexp_setinstvar (_, value) ->
-    report ctx ~rule:"R3" ~loc:e.pexp_loc
-      "instance-variable mutation inside a closure submitted to Parallel fan-out";
-    scan_task ctx bound value
-  | Pexp_apply (f, args) ->
-    (match (head_ident f, args) with
-    | Some path, (_, target) :: _ -> (
-      match mutation_kind path with
-      | Some what -> flag_target ~loc:e.pexp_loc ~what target
-      | None -> ())
-    | _ -> ());
-    scan_task ctx bound f;
-    List.iter (fun (_, a) -> scan_task ctx bound a) args
-  | _ ->
-    (* Generic recursion: none of the remaining constructs bind names an
-       expression child can see, so the bound set is unchanged. *)
-    let it =
-      { Ast_iterator.default_iterator with expr = (fun _ child -> scan_task ctx bound child) }
-    in
-    Ast_iterator.default_iterator.expr it e
+  it.expr it task
 
-let check_fanout_application ctx args =
-  List.iter
-    (fun (_, arg) ->
-      match arg.pexp_desc with
-      | Pexp_fun _ | Pexp_function _ -> scan_task ctx StrSet.empty arg
-      | _ -> ())
-    args
-
-(* The stealing entry points.  [Steal.run] receives its worker-run
-   closures nested inside task tuples and arrays rather than as direct
-   function arguments, so the purity scan must descend through arbitrary
-   argument structure and check every lambda it finds; [Steal.spawn]
-   gets the same treatment for uniformity. *)
-let steal_functions = function
-  | [ "Parallel"; "Steal"; ("run" | "spawn") ] | [ "Steal"; ("run" | "spawn") ] -> true
-  | _ -> false
-
-let rec scan_lambdas ctx e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> scan_task ctx StrSet.empty e
-  | _ ->
-    (* Descend, stopping at each lambda: [scan_task] owns everything
-       inside it (and tracks the names it binds). *)
-    let it =
-      { Ast_iterator.default_iterator with expr = (fun _ child -> scan_lambdas ctx child) }
-    in
-    Ast_iterator.default_iterator.expr it e
-
-let check_steal_application ctx args = List.iter (fun (_, arg) -> scan_lambdas ctx arg) args
-
-(* ---------- R1 / R2: banned identifiers ---------- *)
-
-let sorting_head = function
-  | [ ("List" | "Array"); ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ] -> true
-  | _ -> false
-
-let check_ident ctx ~in_sort ~loc path =
-  (match path with
-  | [ "Random"; "self_init" ] ->
-    report ctx ~rule:"R1" ~loc
-      "Random.self_init seeds from the environment; use an explicit Prng seed so runs are \
-       reproducible"
-  | [ "Sys"; "time" ] ->
-    report ctx ~rule:"R1" ~loc
-      "Sys.time reads the process clock; deterministic code must not branch on wall-clock"
-  | [ "Unix"; "gettimeofday" ] ->
-    report ctx ~rule:"R1" ~loc
-      "Unix.gettimeofday reads wall-clock; deterministic code must not branch on it"
-  | [ "Hashtbl"; (("iter" | "fold") as fn) ] when not in_sort ->
-    report ctx ~rule:"R1" ~loc
-      "Hashtbl.%s visits bindings in unspecified order; sort the bindings (wrap the fold in \
-       List.sort) before they feed fan-out or serialized output"
-      fn
-  | _ -> ());
-  match path with
-  | [ "Obj"; "magic" ] ->
-    report ctx ~rule:"R2" ~loc "Obj.magic is forbidden: it defeats the type system"
-  | "Marshal" :: _ ->
-    report ctx ~rule:"R2" ~loc
-      "Marshal is forbidden: wire data must go through the validating Codec layer"
-  | [ "exit" ] when not (Rules.prefixed "bin/" ctx.file) ->
-    report ctx ~rule:"R2" ~loc "exit outside bin/: libraries must return, not terminate"
-  | _ -> ()
+let r3 ~resolve ~file:_ structure =
+  let acc = ref [] in
+  let it =
+    on_exprs (fun e ->
+        match e.exp_desc with
+        | Texp_apply (f, args) -> (
+          let args = List.filter_map snd args in
+          match Option.bind (head ~resolve f) fanout with
+          | Some `Direct ->
+            List.iter (task_mutations ~resolve acc) (List.filter is_function args)
+          | Some `Nested ->
+            List.iter (task_mutations ~resolve acc) (List.concat_map outermost_lambdas args)
+          | None -> ())
+        | _ -> ())
+  in
+  it.structure it structure;
+  !acc
 
 (* ---------- R4: fsync before rename ---------- *)
 
-(* Collect rename/fsync call sites in source order inside one top-level
-   binding; every rename must see an fsync earlier in the same body. *)
-let check_fsync_order ctx vb =
-  if rule_in_scope "R4" ctx.file then begin
-    let events = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match e.pexp_desc with
-            | Pexp_ident { txt; loc } -> (
-              match ident_path txt with
-              | [ ("Unix" | "Sys"); "rename" ] -> events := (`Rename, loc) :: !events
-              | [ "Unix"; "fsync" ] -> events := (`Fsync, loc) :: !events
+(* Within one binding, every rename must see an fsync earlier in the
+   source. *)
+let r4 ~resolve ~file:_ structure =
+  List.concat_map
+    (fun vb ->
+      let renames = ref [] and fsyncs = ref [] in
+      let it =
+        on_exprs (fun e ->
+            match e.exp_desc with
+            | Texp_ident (p, _, _) -> (
+              match resolve p with
+              | [ ("Unix" | "Sys"); "rename" ] -> renames := e.exp_loc :: !renames
+              | [ "Unix"; "fsync" ] -> fsyncs := e.exp_loc :: !fsyncs
               | _ -> ())
-            | _ -> ());
-            Ast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.expr it vb.pvb_expr;
-    let events = List.rev !events in
-    let offset (loc : Location.t) = loc.loc_start.Lexing.pos_cnum in
-    List.iter
-      (fun (kind, loc) ->
-        if kind = `Rename
-           && not (List.exists (fun (k, l) -> k = `Fsync && offset l < offset loc) events)
-        then
-          report ctx ~rule:"R4" ~loc
-            "rename without a preceding Unix.fsync in the same function body; atomic-replace \
-             must flush the new file's blocks before publishing it")
-      events
-  end
+            | _ -> ())
+      in
+      it.expr it vb.vb_expr;
+      let offset (loc : Location.t) = loc.loc_start.Lexing.pos_cnum in
+      List.filter_map
+        (fun loc ->
+          if List.exists (fun f -> offset f < offset loc) !fsyncs then None
+          else
+            Some
+              ( loc,
+                "rename without a preceding Unix.fsync in the same function body; \
+                 atomic-replace must flush the new file's blocks before publishing it" ))
+        !renames)
+    (structure_roots structure)
 
-(* ---------- the per-file walk ---------- *)
+(* ---------- the per-file entry point ---------- *)
 
 let check_structure ~file structure =
-  let ctx = { file; findings = []; allow_uses = [] } in
-  let in_sort = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> check_ident ctx ~in_sort:!in_sort ~loc (ident_path txt)
-          | Pexp_apply (f, args) -> (
-            match head_ident f with
-            | Some [ "Parallel"; fn ] when List.mem fn fanout_functions ->
-              if rule_in_scope "R3" ctx.file then check_fanout_application ctx args
-            | Some path when steal_functions path ->
-              if rule_in_scope "R3" ctx.file then check_steal_application ctx args
-            | _ -> ())
-          | _ -> ());
-          match e.pexp_desc with
-          | Pexp_apply (f, args)
-            when (match head_ident f with Some p -> sorting_head p | None -> false) ->
-            (* A Hashtbl.fold whose result goes straight into a sort is
-               ordered output; the exemption covers the sort's arguments
-               only. *)
-            it.expr it f;
-            let saved = !in_sort in
-            in_sort := true;
-            List.iter (fun (_, a) -> it.expr it a) args;
-            in_sort := saved
-          | _ -> Ast_iterator.default_iterator.expr it e);
-      structure_item =
-        (fun it item ->
-          (match item.pstr_desc with
-          | Pstr_value (_, vbs) -> List.iter (fun vb -> check_fsync_order ctx vb) vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item it item);
-    }
+  let resolve = resolver structure in
+  let results =
+    List.map
+      (fun (rule, check) ->
+        Rules.gate rule ~file (fun () ->
+            List.map
+              (fun (loc, message) ->
+                Finding.make ~rule ~severity:Finding.Error ~file ~loc message)
+              (check ~resolve ~file structure)))
+      [ ("R1", r1); ("R2", r2); ("R3", r3); ("R4", r4) ]
   in
-  List.iter (fun item -> it.structure_item it item) structure;
-  (List.rev ctx.findings, List.sort_uniq compare ctx.allow_uses)
+  (List.concat_map fst results, List.concat_map snd results)

@@ -91,11 +91,7 @@ let is_false_construct e =
 (* Per-function summaries of local let-bound lambdas. *)
 type lsum = { s_may_raise : bool; s_unlocks : S.t; s_closes : S.t }
 
-let rec value_pat_idents (p : pattern) =
-  match p.pat_desc with
-  | Tpat_var (id, _) -> [ id ]
-  | Tpat_alias (sub, id, _) -> id :: value_pat_idents sub
-  | _ -> []
+let value_pat_idents p = List.map fst (Callgraph.pattern_idents p)
 
 let binding_name vb =
   match value_pat_idents vb.vb_pat with id :: _ -> Ident.name id | [] -> "_"
@@ -154,15 +150,7 @@ let rec lock_name e =
   | _ -> Printf.sprintf "<mutex@%d>" e.exp_loc.Location.loc_start.Lexing.pos_lnum
 
 let iter_exprs ~f e =
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          f e;
-          Tast_iterator.default_iterator.expr sub e);
-    }
-  in
+  let it = Checks.on_exprs f in
   it.expr it e
 
 let unlocks_in e =
@@ -249,6 +237,19 @@ let app_may_raise ~locals p comps arg_exprs =
        (fun a -> if is_function a then expr_may_raise ~locals a else false)
        arg_exprs
 
+(* A record expression's subexpressions: the copied record, then the
+   overridden fields. *)
+let record_parts extended fields =
+  Option.to_list extended
+  @ List.filter_map
+      (function _, Overridden (_, e) -> Some e | _, Kept _ -> None)
+      (Array.to_list fields)
+
+(* The [~finally] and the thunk of a [Fun.protect] application. *)
+let protect_args args =
+  ( List.find_map (function Asttypes.Labelled "finally", e -> e | _ -> None) args,
+    List.find_map (function Asttypes.Nolabel, e -> e | _ -> None) args )
+
 type actx = { file : string; mutable findings : Finding.t list }
 
 let report ctx ~rule ~loc fmt =
@@ -257,25 +258,6 @@ let report ctx ~rule ~loc fmt =
       ctx.findings <-
         Finding.make ~rule ~severity:Finding.Error ~file:ctx.file ~loc message :: ctx.findings)
     fmt
-
-(* Analysis roots: every value binding introduced by a [Tstr_value] at
-   any module depth (the parallel runtime keeps its deques in a nested
-   [Steal] module). *)
-let structure_roots structure =
-  let acc = ref [] in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      structure_item =
-        (fun sub item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) -> List.iter (fun vb -> acc := vb :: !acc) vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item sub item);
-    }
-  in
-  it.structure it structure;
-  List.rev !acc
 
 let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
 
@@ -376,18 +358,7 @@ let r6_check_binding ctx vb =
     | Texp_variant (_, eo) -> (
       match eo with Some e -> walk protected held e | None -> Some held)
     | Texp_record { fields; extended_expression; _ } ->
-      let start =
-        match extended_expression with
-        | Some e -> walk protected held e
-        | None -> Some held
-      in
-      Array.fold_left
-        (fun acc (_, def) ->
-          match (acc, def) with
-          | None, _ -> None
-          | Some h, Overridden (_, e) -> walk protected h e
-          | Some h, Kept _ -> Some h)
-        start fields
+      walk_list protected held (record_parts extended_expression fields)
     | Texp_field (b, _, _) -> walk protected held b
     | Texp_setfield (b, _, _, v) -> (
       match walk protected held b with None -> None | Some h -> walk protected h v)
@@ -527,17 +498,7 @@ let r6_check_binding ctx vb =
           end;
           Some h))
   and fun_protect protected held loc args =
-    let finally =
-      List.find_map
-        (fun (l, a) ->
-          match (l, a) with Asttypes.Labelled "finally", Some e -> Some e | _ -> None)
-        args
-    in
-    let thunk =
-      List.find_map
-        (fun (l, a) -> match (l, a) with (Asttypes.Nolabel, Some e) -> Some e | _ -> None)
-        args
-    in
+    let finally, thunk = protect_args args in
     let fin_unlocks =
       match finally with
       | Some ({ exp_desc = Texp_ident (Path.Pident id, _, _); _ }) -> (
@@ -774,18 +735,7 @@ let r7_check_binding ctx vb =
     | Texp_variant (_, eo) -> (
       match eo with Some e -> walk protected open_ e | None -> Some open_)
     | Texp_record { fields; extended_expression; _ } ->
-      let start =
-        match extended_expression with
-        | Some e -> walk protected open_ e
-        | None -> Some open_
-      in
-      Array.fold_left
-        (fun acc (_, def) ->
-          match (acc, def) with
-          | None, _ -> None
-          | Some o, Overridden (_, e) -> walk protected o e
-          | Some o, Kept _ -> Some o)
-        start fields
+      walk_list protected open_ (record_parts extended_expression fields)
     | Texp_field (b, _, _) -> walk protected open_ b
     | Texp_setfield (b, _, _, v) -> (
       match walk protected open_ b with None -> None | Some o -> walk protected o v)
@@ -877,17 +827,7 @@ let r7_check_binding ctx vb =
           end;
           if is_raise_head comps then None else Some o))
   and fun_protect protected open_ loc args =
-    let finally =
-      List.find_map
-        (fun (l, a) ->
-          match (l, a) with Asttypes.Labelled "finally", Some e -> Some e | _ -> None)
-        args
-    in
-    let thunk =
-      List.find_map
-        (fun (l, a) -> match (l, a) with Asttypes.Nolabel, Some e -> Some e | _ -> None)
-        args
-    in
+    let finally, thunk = protect_args args in
     let fin_closes =
       match finally with
       | Some { exp_desc = Texp_ident (Path.Pident id, _, _); _ } -> (
@@ -917,53 +857,6 @@ let r7_check_binding ctx vb =
 
 (* ---------- R1': interprocedural determinism taint ---------- *)
 
-let sorting_head = function
-  | [ ("List" | "Array"); ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ] -> true
-  | _ -> false
-
-(* The same construct list as the syntactic R1 check, including its
-   sorted-fold exemption: a Hashtbl.fold/iter in the arguments of a
-   List/Array sort produces ordered output and is not a seed. *)
-let seed_construct ~in_sort = function
-  | [ "Unix"; "gettimeofday" ] -> Some "Unix.gettimeofday"
-  | [ "Sys"; "time" ] -> Some "Sys.time"
-  | [ "Random"; "self_init" ] -> Some "Random.self_init"
-  | [ "Hashtbl"; (("iter" | "fold") as fn) ] when not in_sort -> Some ("Hashtbl." ^ fn)
-  | _ -> None
-
-let iter_idents_with_sort ~f expr =
-  let in_sort = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          match e.exp_desc with
-          | Texp_ident (p, _, _) -> f ~in_sort:!in_sort (Callgraph.normalize p) e.exp_loc
-          | Texp_apply (fn, _)
-            when (match head_of fn with Some (_, c) -> sorting_head c | None -> false) ->
-            let saved = !in_sort in
-            in_sort := true;
-            Tast_iterator.default_iterator.expr sub e;
-            in_sort := saved
-          | _ -> Tast_iterator.default_iterator.expr sub e);
-    }
-  in
-  it.expr it expr
-
-(* Call sites of other graph nodes inside a definition, as (target
-   index, site) in source order. *)
-let resolved_calls graph (d : Callgraph.def) =
-  let acc = ref [] in
-  iter_exprs d.Callgraph.def_expr ~f:(fun e ->
-      match e.exp_desc with
-      | Texp_ident (p, _, _) -> (
-        match Callgraph.resolve graph ~file:d.Callgraph.def_file p with
-        | Some j -> acc := (j, e.exp_loc) :: !acc
-        | None -> ())
-      | _ -> ());
-  List.rev !acc
-
 type taint = {
   t_construct : string;
   t_seed_file : string;
@@ -972,39 +865,33 @@ type taint = {
   t_site : Location.t option;  (** [None] for the directly-seeded def itself *)
 }
 
-(* Seed at direct construct uses, propagate caller-ward over the call
-   graph (breadth-first, so the reported chain is a shortest path), and
-   report every transitively-tainted definition at its first tainted
-   call site.  Seeds inside allowlisted files never start taint at all:
-   the allowlist suppresses by root cause, so sanctioned wall-clock use
-   (the search deadline) does not indict its callers.  Direct seeds in
-   non-allowlisted files are left to the syntactic check, which already
-   reports them; the typed layer only adds the Via findings. *)
-let r1_taint r1_meta graph =
+(* Seed at direct construct uses (the walk Checks' R1 reports them
+   with), propagate caller-ward over the call graph (breadth-first, so
+   the reported chain is a shortest path), and report every
+   transitively-tainted definition at its first tainted call site.
+   Seeds inside allowlisted files never start taint at all: the
+   allowlist suppresses by root cause, so sanctioned wall-clock use (the
+   search deadline) does not indict its callers. *)
+let r1_taint r1_meta ~resolve graph =
   let n = Array.length graph.Callgraph.defs in
   let findings = ref [] in
   let uses = ref [] in
   let seeds = Array.make n None in
   Array.iteri
     (fun i (d : Callgraph.def) ->
-      match Rules.applicability r1_meta d.Callgraph.def_file with
+      let file = d.Callgraph.def_file in
+      match Rules.applicability r1_meta file with
       | Rules.Out_of_scope -> ()
-      | app ->
-        iter_idents_with_sort d.Callgraph.def_expr ~f:(fun ~in_sort comps loc ->
-            match seed_construct ~in_sort comps with
-            | None -> ()
-            | Some c -> (
-              match app with
-              | Rules.Applies -> if seeds.(i) = None then seeds.(i) <- Some (c, loc)
-              | Rules.Allowlisted prefix -> uses := ("R1", prefix) :: !uses
-              | Rules.Out_of_scope -> ())))
+      | app -> (
+        match (app, Checks.seeds ~resolve:(resolve file) d.Callgraph.def_expr) with
+        | Rules.Applies, seed :: _ -> seeds.(i) <- Some seed
+        | Rules.Allowlisted prefix, _ :: _ -> uses := ("R1", prefix) :: !uses
+        | _ -> ()))
     graph.Callgraph.defs;
   let callers = Array.make n [] in
   Array.iteri
     (fun i (d : Callgraph.def) ->
-      List.iter
-        (fun (j, site) -> if j <> i then callers.(j) <- (i, site) :: callers.(j))
-        (resolved_calls graph d))
+      List.iter (fun (j, site) -> callers.(j) <- (i, site) :: callers.(j)) (Callgraph.calls graph d))
     graph.Callgraph.defs;
   Array.iteri (fun j l -> callers.(j) <- List.rev l) callers;
   let taint = Array.make n None in
@@ -1071,34 +958,29 @@ let r1_taint r1_meta graph =
 
 let analyze (typed : Typed_load.typed_file list) : report =
   let graph = Callgraph.build typed in
+  let resolvers = Hashtbl.create 64 in
+  List.iter
+    (fun { Typed_load.file; structure } ->
+      Hashtbl.replace resolvers file (Checks.resolver structure))
+    typed;
   let taint_findings, taint_uses =
     match Rules.find "R1" with
-    | Some r1 -> r1_taint r1 graph
+    | Some r1 -> r1_taint r1 ~resolve:(Hashtbl.find resolvers) graph
     | None -> ([], [])
   in
-  let findings = ref taint_findings in
-  let uses = ref taint_uses in
-  let run_rule rule_id check { Typed_load.file; structure } =
-    match Rules.find rule_id with
-    | None -> ()
-    | Some meta -> (
-      match Rules.applicability meta file with
-      | Rules.Out_of_scope -> ()
-      | app ->
-        let ctx = { file; findings = [] } in
-        List.iter (fun vb -> check ctx vb) (structure_roots structure);
-        if ctx.findings <> [] then (
-          match app with
-          | Rules.Applies -> findings := ctx.findings @ !findings
-          | Rules.Allowlisted prefix -> uses := (rule_id, prefix) :: !uses
-          | Rules.Out_of_scope -> ()))
+  let per_file =
+    List.concat_map
+      (fun { Typed_load.file; structure } ->
+        List.map
+          (fun (rule, check) ->
+            Rules.gate rule ~file (fun () ->
+                let ctx = { file; findings = [] } in
+                List.iter (check ctx) (Checks.structure_roots structure);
+                ctx.findings))
+          [ ("R6", r6_check_binding); ("R7", r7_check_binding) ])
+      typed
   in
-  List.iter
-    (fun tf ->
-      run_rule "R6" r6_check_binding tf;
-      run_rule "R7" r7_check_binding tf)
-    typed;
   {
-    findings = List.sort_uniq Finding.compare !findings;
-    allow_uses = List.sort_uniq compare !uses;
+    findings = List.sort_uniq Finding.compare (taint_findings @ List.concat_map fst per_file);
+    allow_uses = List.sort_uniq compare (taint_uses @ List.concat_map snd per_file);
   }

@@ -1,13 +1,11 @@
 (** The semantic analyses over typedtrees.
 
-    - R1' interprocedural determinism taint: seed at
-      [Unix.gettimeofday] / [Sys.time] / [Random.self_init] / unordered
-      [Hashtbl.iter]/[fold] (with the sorted-fold exemption), propagate
-      caller-ward over the {!Callgraph}, report each transitively
-      tainted definition at its tainted call site.  Seeds inside
-      allowlisted files never start taint (the allowlist suppresses by
-      root cause); directly-seeded definitions are left to the
-      syntactic check.
+    - R1' interprocedural determinism taint: seed at the R1 constructs
+      ({!Checks.seeds}), propagate caller-ward over the {!Callgraph},
+      report each transitively tainted definition at its tainted call
+      site (the seeds themselves are {!Checks}' R1 findings).  Seeds
+      inside allowlisted files never start taint (the allowlist
+      suppresses by root cause).
     - R6 lock discipline ([lib/parallel/]): every [Mutex.lock] released
       on all paths including raises, no double lock, no blocking call
       or raise while a deque/pool mutex is held; [Fun.protect]

@@ -12,48 +12,22 @@ type report = {
 let scanned_roots = [ "lib"; "bin"; "test" ]
 let skip_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
 
-let has_suffix suffix s =
-  let n = String.length suffix in
-  String.length s >= n && String.sub s (String.length s - n) n = suffix
-
 let rec walk root rel acc =
-  let abs = if rel = "" then root else Filename.concat root rel in
-  match Sys.readdir abs with
+  match Sys.readdir (Filename.concat root rel) with
   | exception Sys_error _ -> acc
   | entries ->
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc entry ->
-        let rel' = if rel = "" then entry else rel ^ "/" ^ entry in
-        let abs' = Filename.concat root rel' in
-        if Sys.is_directory abs' then
+        let rel' = rel ^ "/" ^ entry in
+        if Sys.is_directory (Filename.concat root rel') then
           if List.mem entry skip_dirs then acc else walk root rel' acc
         else rel' :: acc)
       acc entries
 
+(* Missing roots are skipped. *)
 let source_files root =
-  let is_dir path = Sys.file_exists path && Sys.is_directory path in
-  List.rev
-    (List.fold_left
-       (fun acc top -> if is_dir (Filename.concat root top) then walk root top acc else acc)
-       [] scanned_roots)
-
-(* ---------- parsing ---------- *)
-
-let parse_implementation ~root ~file =
-  let src = In_channel.with_open_bin (Filename.concat root file) In_channel.input_all in
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf file;
-  Parse.implementation lexbuf
-
-let syntax_finding ~file exn =
-  let loc =
-    match Location.error_of_exn exn with
-    | Some (`Ok report) -> report.Location.main.Location.loc
-    | _ -> Location.none
-  in
-  Finding.make ~rule:"P0" ~severity:Finding.Error ~file ~loc
-    "file does not parse with the stock OCaml grammar"
+  List.rev (List.fold_left (fun acc top -> walk root top acc) [] scanned_roots)
 
 (* ---------- R5: interface coverage ---------- *)
 
@@ -63,7 +37,7 @@ let r5_findings files =
   | Some meta ->
     List.filter_map
       (fun f ->
-        if has_suffix ".ml" f && Rules.applies meta f then
+        if String.ends_with ~suffix:".ml" f && Rules.applicability meta f = Rules.Applies then
           if List.mem (f ^ "i") files then None
           else
             Some
@@ -79,9 +53,10 @@ let r5_findings files =
 (* Every allowlist entry in the rule book must still earn its keep: an
    entry that suppressed nothing anywhere in this scan is itself a
    finding, so the book cannot accumulate stale exemptions.  Entries
-   whose prefix matches no scanned file are out of this scan's
+   whose prefix matches no typed file are out of this scan's
    jurisdiction (fixture trees don't contain the real tree's
-   allowlisted modules) and are left alone. *)
+   allowlisted modules, and an untyped file is already a P0) and are
+   left alone. *)
 let a0_findings ~used ~files =
   List.concat_map
     (fun (meta : Rules.meta) ->
@@ -131,38 +106,30 @@ let b0_findings ~baseline ~raw =
 
 let run ?(baseline = Baseline.empty) ?(allow_stale = false) ~root () =
   let files = source_files root in
-  let ml_files = List.filter (has_suffix ".ml") files in
-  let allow_uses = ref [] in
-  (* Syntactic layer: every scanned file, graceful on parse failure. *)
-  let syntactic =
-    List.concat_map
-      (fun file ->
-        match parse_implementation ~root ~file with
-        | structure ->
-          let findings, uses = Checks.check_structure ~file structure in
-          allow_uses := uses @ !allow_uses;
-          findings
-        | exception exn -> [ syntax_finding ~file exn ])
-      ml_files
+  let ml_files = List.filter (String.ends_with ~suffix:".ml") files in
+  let loaded = Typed_load.load ~root ~files:ml_files in
+  let typed = loaded.Typed_load.typed in
+  let checked =
+    List.map (fun { Typed_load.file; structure } -> Checks.check_structure ~file structure) typed
   in
-  (* Typed layer: library sources only.  Files without a typedtree (no
-     cmt and in-process typing failed) silently degrade to the
-     syntactic checks above. *)
-  let lib_ml = List.filter (Rules.prefixed "lib/") ml_files in
-  let loaded = Typed_load.load ~root ~files:lib_ml in
-  let semantic = Dataflow.analyze loaded.Typed_load.typed in
-  allow_uses := semantic.Dataflow.allow_uses @ !allow_uses;
-  let used = List.sort_uniq compare !allow_uses in
+  (* The call graph, and with it R1', R6 and R7, covers library sources. *)
+  let semantic =
+    Dataflow.analyze (List.filter (fun tf -> Rules.prefixed "lib/" tf.Typed_load.file) typed)
+  in
+  let used =
+    List.sort_uniq compare (semantic.Dataflow.allow_uses @ List.concat_map snd checked)
+  in
   let raw =
-    syntactic @ semantic.Dataflow.findings @ r5_findings files
-    @ a0_findings ~used ~files:ml_files
+    loaded.Typed_load.untyped @ List.concat_map fst checked @ semantic.Dataflow.findings
+    @ r5_findings files
+    @ a0_findings ~used ~files:(List.map (fun tf -> tf.Typed_load.file) typed)
   in
   let keep, dropped = List.partition (fun f -> not (Baseline.mem baseline f)) raw in
   let keep = if allow_stale then keep else keep @ b0_findings ~baseline ~raw in
   {
     findings = List.sort Finding.compare keep;
     files_scanned = List.length ml_files;
-    files_typed = List.length loaded.Typed_load.typed;
+    files_typed = List.length typed;
     suppressed = List.length dropped;
   }
 
@@ -209,7 +176,10 @@ let render_sarif r =
   Buffer.add_string b "\"runs\":[{\"tool\":{\"driver\":{\"name\":\"tilesched-lint\",\"rules\":[";
   let pseudo =
     [
-      ("P0", "parse failure", "the file does not parse with the stock OCaml grammar");
+      ( "P0",
+        "no typedtree",
+        "the file does not parse, or it has no current .cmt and does not typecheck in \
+         isolation" );
       ("A0", "unused allowlist entry", "an allowlist entry suppressed nothing in this scan");
       ("B0", "stale baseline entry", "a baseline entry matches no current finding");
     ]

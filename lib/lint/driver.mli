@@ -1,10 +1,12 @@
-(** The analyzer's entry point: walk a source tree, run the syntactic
-    checks over every [.ml] (stock compiler-libs grammar), acquire
-    typedtrees for the library sources ({!Typed_load}) and run the
-    semantic analyses ({!Dataflow}), then render the findings.
+(** The analyzer's entry point: walk a source tree, acquire a typedtree
+    for every [.ml] ({!Typed_load}), run the rule checks ({!Checks}) on
+    each and the flow analyses ({!Dataflow}) on the library sources,
+    then render the findings.
 
     Pseudo-rules produced here rather than by the rule book:
-    - [P0]: a file that does not parse (the scan continues);
+    - [P0]: a file with no typedtree - it does not parse, or it has no
+      current [.cmt] and does not typecheck in isolation (the scan
+      continues);
     - [A0]: an allowlist entry that suppressed nothing in this scan;
     - [B0]: a baseline entry matching no current finding (suppressed by
       [~allow_stale:true] during transitions). *)
@@ -12,24 +14,15 @@
 type report = {
   findings : Finding.t list;  (** sorted by file, line, column *)
   files_scanned : int;
-  files_typed : int;  (** library sources with a typedtree (cmt or in-process) *)
+  files_typed : int;  (** sources with a typedtree (current cmt or in-process) *)
   suppressed : int;  (** findings swallowed by the baseline *)
 }
 
-val scanned_roots : string list
-(** Subdirectories of the root that are scanned ([lib], [bin], [test]);
-    missing ones are skipped silently. *)
-
-val source_files : string -> string list
-(** Every file under the scanned roots (root-relative paths, ['/']
-    separated), skipping build/VCS directories.  Deterministic order. *)
-
 val run : ?baseline:Baseline.t -> ?allow_stale:bool -> root:string -> unit -> report
-(** Scan the tree rooted at [root].  A file that fails to parse yields a
-    single [P0] finding rather than aborting the scan; a library file
-    with no typedtree is covered by the syntactic checks only.
-    [allow_stale] (default [false]) suppresses [B0] findings for stale
-    baseline entries. *)
+(** Scan the tree rooted at [root].  A file with no typedtree yields a
+    single [P0] finding rather than aborting the scan.  [allow_stale]
+    (default [false]) suppresses [B0] findings for stale baseline
+    entries. *)
 
 val render_human : report -> string
 (** One [file:line:col: severity[RULE]: message] line per finding plus a

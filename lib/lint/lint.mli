@@ -1,29 +1,31 @@
 (** Project-invariant static analyzer.
 
-    Two layers, no external dependencies beyond compiler-libs:
+    One pipeline over one representation, with no dependencies beyond
+    compiler-libs: every [.ml] under [lib/], [bin/], and [test/] gets a
+    typedtree ({!Typed_load}: the dune [.cmt] when its source digest is
+    current, in-process [Typemod] typing otherwise), and every rule
+    matches resolved [Path.t]s, with file-local module aliases
+    expanded.  A file with no typedtree is a [P0] finding saying why
+    (it does not parse, or it has no current [.cmt] and does not
+    typecheck in isolation); nothing is left to partial coverage.
 
-    {b Syntactic} - parses every [.ml] under [lib/], [bin/], and
-    [test/] with the stock grammar and walks the Parsetree:
-
-    - {b R1 determinism (direct)} - no wall-clock ([Sys.time],
+    {!Checks}, on every file:
+    - {b R1 determinism} - no wall-clock ([Sys.time],
       [Unix.gettimeofday]), no [Random.self_init], no unordered
       [Hashtbl.iter]/[Hashtbl.fold] in library code (allowlisted where
-      wall-clock is the point: the search deadline and the load
-      generator).
+      wall-clock is the point: the search deadline, the load generator
+      and the event loop's timeouts).
     - {b R2 forbidden constructs} - [Obj.magic] and [Marshal] anywhere,
       [exit] outside [bin/].
     - {b R3 task purity} - no mutation of captured state inside closures
-      submitted to the [Parallel] fan-out entry points.
+      submitted to the [Parallel] fan-out entry points or to
+      [Parallel.Steal.run]/[spawn].
     - {b R4 crash safety} - in [lib/store] and [lib/corpus], every
       rename is preceded by an [Unix.fsync] in the same function body.
-    - {b R5 interface coverage} - every [lib/**/*.ml] has a matching
-      [.mli].
+    - {b R5 interface coverage} ({!Driver}) - every [lib/**/*.ml] has a
+      matching [.mli].
 
-    {b Semantic} - acquires typedtrees for library sources (dune [.cmt]
-    artifacts when built, in-process [Typemod] typing otherwise; see
-    {!Typed_load}) and runs the flow analyses of {!Dataflow} over
-    resolved [Path.t]s:
-
+    {!Dataflow}, on the library sources:
     - {b R1' determinism (interprocedural)} - taint seeded at the R1
       constructs propagates over the intra-library call graph
       ({!Callgraph}); reaching a seed through any chain of helpers is a

@@ -23,7 +23,7 @@ let all =
       rationale =
         "Search, parallel fan-out and the persistent store promise bit-identical results at \
          every -j; wall-clock reads, self-seeded RNG and unordered Hashtbl iteration break \
-         that promise silently.  The typed layer propagates the same taint over the \
+         that promise silently.  The same taint propagates over the \
          intra-library call graph, so reaching a seed through any chain of helpers is a \
          finding at the offending call site.";
       scope = Under [ "lib/" ];
@@ -106,14 +106,10 @@ let all =
 
 let find id = List.find_opt (fun m -> m.id = id) all
 
-let prefixed prefix path =
-  String.length path >= String.length prefix && String.sub path 0 (String.length prefix) = prefix
+let prefixed prefix path = String.starts_with ~prefix path
 
 let in_scope meta path =
   match meta.scope with All -> true | Under dirs -> List.exists (fun d -> prefixed d path) dirs
-
-let allowed meta path =
-  List.find_map (fun (prefix, why) -> if prefixed prefix path then Some why else None) meta.allow
 
 (* Three-way applicability, so callers can tell "suppressed by an
    allowlist entry" (which must be recorded as a use of that entry) from
@@ -130,8 +126,13 @@ let applicability meta path =
     | Some prefix -> Allowlisted prefix
     | None -> Applies
 
-(* [applies meta path] - in scope and not allowlisted. *)
-let applies meta path = in_scope meta path && allowed meta path = None
+(* Run a rule's check over one file: its findings when the rule
+   applies there, the allowlist entry's use when one swallowed them. *)
+let gate id ~file check =
+  match Option.map (fun meta -> applicability meta file) (find id) with
+  | None | Some Out_of_scope -> ([], [])
+  | Some Applies -> (check (), [])
+  | Some (Allowlisted prefix) -> ([], if check () = [] then [] else [ (id, prefix) ])
 
 let describe () =
   String.concat "\n"

@@ -21,15 +21,6 @@ val find : string -> meta option
 val prefixed : string -> string -> bool
 (** [prefixed prefix path]: does [path] start with [prefix]? *)
 
-val in_scope : meta -> string -> bool
-(** Is the (root-relative) path inside the rule's scope? *)
-
-val allowed : meta -> string -> string option
-(** The allowlist justification covering this path, if any. *)
-
-val applies : meta -> string -> bool
-(** [in_scope] and not [allowed]. *)
-
 type applicability =
   | Applies  (** in scope, no allowlist entry covers the path *)
   | Allowlisted of string
@@ -38,6 +29,13 @@ type applicability =
   | Out_of_scope
 
 val applicability : meta -> string -> applicability
+
+val gate :
+  string -> file:string -> (unit -> Finding.t list) -> Finding.t list * (string * string) list
+(** [gate id ~file check] runs [check] unless [file] is outside rule
+    [id]'s scope.  Returns its findings when the rule applies, or the
+    (rule, allow prefix) use when an allowlist entry suppressed a
+    non-empty result. *)
 
 val describe : unit -> string
 (** Human-readable rule book (for [lint --rules]). *)

@@ -1,18 +1,21 @@
-(** Typedtree acquisition for the semantic analyses.
+(** Typedtree acquisition: the analyzer's only representation.
 
-    Prefers the [.cmt] files a dune build leaves under
-    [lib/<x>/.<lib>.objs/byte/] (read via [Cmt_format]); files without
-    one are parsed and typed in-process against an environment seeded
-    with the stdlib and unix, with successfully-typed fixture modules
-    added to the environment under their unit names so sibling fixtures
-    can reference them.  Files that type through neither road come back
-    in [untyped] and are covered by the syntactic checks only. *)
+    Prefers the [.cmt] files a [dune build @check] leaves under
+    [.<lib>.objs/byte/] and [.<exe>.eobjs/byte/] (read via
+    [Cmt_format]), but only while the cmt's source digest matches the
+    file on disk.  Files without a current cmt are parsed and typed
+    in-process against an environment seeded with the stdlib and unix,
+    with successfully-typed modules added to the environment under their
+    unit names so sibling files can reference them.  A file that types
+    through neither road comes back as a [P0] finding naming the reason:
+    it does not parse, or it has no current cmt and does not typecheck
+    in isolation. *)
 
 type typed_file = { file : string; structure : Typedtree.structure }
 
 type result = {
   typed : typed_file list;  (** sorted by file path *)
-  untyped : string list;  (** scanned files with no typedtree *)
+  untyped : Finding.t list;  (** one [P0] per file with no typedtree *)
 }
 
 val load : root:string -> files:string list -> result

@@ -40,14 +40,15 @@ if [ -n "$oracle_users" ]; then
   exit 1
 fi
 
-dune build @all
+dune build @all @check
 dune runtest
 
-# Project-invariant static analysis (DESIGN.md sections 10 and 15):
-# the syntactic rules (determinism, forbidden constructs, Parallel task
-# purity, fsync-before-rename, interface coverage) plus the typedtree
-# dataflow layer (interprocedural determinism taint, lock discipline,
-# resource lifetime).  Exits nonzero on any finding.
+# Project-invariant static analysis (DESIGN.md sections 10 and 15) on
+# the typedtree of every file, read from the cmts @check just wrote:
+# determinism (direct and interprocedural), forbidden constructs,
+# Parallel task purity, fsync-before-rename, interface coverage, lock
+# discipline, resource lifetime.  A file without a current typedtree
+# is a finding.  Exits nonzero on any finding.
 dune exec bin/tilesched.exe -- lint
 
 # The SARIF emitter must stay schema-valid: emit the same scan as SARIF

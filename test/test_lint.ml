@@ -1,12 +1,14 @@
 (* Tests for the static analyzer: one violating and one clean fixture
    per rule (R1 determinism, R2 forbidden constructs, R3 task purity,
    R4 fsync-before-rename, R5 interface coverage, R6 lock discipline,
-   R7 resource lifetime), the interprocedural taint layer (R1 through
-   call chains), the call graph itself, unused-allowlist (A0) and
-   stale-baseline (B0) findings, parse-failure handling, a property
-   test round-tripping the JSON and SARIF emitters, and an end-to-end
-   assertion that the real repo tree produces zero findings from both
-   layers. *)
+   R7 resource lifetime), constructs reached through [open] and module
+   aliases, the interprocedural taint (R1 through call chains), the
+   call graph itself, unused-allowlist (A0) and stale-baseline (B0)
+   findings, P0 for files without a typedtree (parse failure, stale
+   cmt), a property test round-tripping the JSON and SARIF emitters,
+   and an end-to-end assertion that every file of the real repo tree is
+   typed and produces zero findings.  Fixture trees have no build
+   artifacts, so the analyzer types them in-process. *)
 
 let mkdir_p path =
   let rec go acc = function
@@ -43,13 +45,20 @@ let with_tree files f =
         files;
       f root)
 
-let scan files = with_tree files (fun root -> Lint.run ~root ())
+let lint files = with_tree files (fun root -> Lint.run ~root ())
 
 let by_rule rule (report : Lint.report) =
   List.filter (fun f -> f.Lint.Finding.rule = rule) report.Lint.findings
 
 let check_rule_count msg rule expected report =
   Alcotest.(check int) msg expected (List.length (by_rule rule report))
+
+(* Every fixture file must type: an untyped file is analyzed by no rule,
+   so a clean verdict on it would prove nothing. *)
+let scan files =
+  let report = lint files in
+  check_rule_count "every fixture file is typed" "P0" 0 report;
+  report
 
 let contains ~needle hay =
   let n = String.length needle in
@@ -74,6 +83,29 @@ let test_r1_violations () =
   check_rule_count "five R1 findings" "R1" 5 report;
   let lines = List.map (fun f -> f.Lint.Finding.line) (by_rule "R1" report) in
   Alcotest.(check (list int)) "source order" [ 1; 2; 3; 4; 5 ] lines
+
+let test_r1_local_open () =
+  let report =
+    scan
+      [
+        ("lib/tiling/opened.ml", "let now () = let open Unix in gettimeofday ()\n");
+        ("lib/tiling/opened.mli", "val now : unit -> float\n");
+      ]
+  in
+  check_rule_count "resolved through the open" "R1" 1 report
+
+let test_r1_module_alias () =
+  let report =
+    scan
+      [
+        ("lib/tiling/aliased.ml", "module U = Unix\n\nlet now () = U.gettimeofday ()\n");
+        ("lib/tiling/aliased.mli", "val now : unit -> float\n");
+      ]
+  in
+  check_rule_count "resolved through the alias" "R1" 1 report;
+  match by_rule "R1" report with
+  | [ f ] -> Alcotest.(check int) "at the aliased call" 3 f.Lint.Finding.line
+  | _ -> Alcotest.fail "expected one R1 finding"
 
 let test_r1_sorted_fold_clean () =
   let report =
@@ -178,7 +210,10 @@ let test_callgraph_three_modules () =
         | None -> Alcotest.failf "no def %s" key
       in
       let calls_of key =
-        List.sort_uniq compare (List.map fst (Lint.Callgraph.calls g (def key)))
+        List.sort_uniq compare
+          (List.map
+             (fun (j, _) -> g.Lint.Callgraph.defs.(j).Lint.Callgraph.def_key)
+             (Lint.Callgraph.calls g (def key)))
       in
       Alcotest.(check (list string)) "cross-module edge" [ "Alpha.base" ] (calls_of "Beta.mid");
       Alcotest.(check (list string))
@@ -218,10 +253,35 @@ let test_r2_clean () =
 
 (* ---------- R3: task purity ---------- *)
 
+(* A typed stand-in for the fan-out entry points, so the R3 fixtures
+   type in-process. *)
+let parallel_stub =
+  [
+    ( "lib/parallel/parallel.ml",
+      "type pool = unit\n\
+       let map (_ : pool) f xs = List.map f xs\n\
+       let parallel_for (_ : pool) ~n f = for i = 0 to n - 1 do f i done\n\
+       module Steal = struct\n\
+      \  type 'a ctx = unit\n\
+      \  let run (_ : pool) tasks = List.concat_map (fun (_, body) -> body ()) (Array.to_list tasks)\n\
+      \  let spawn (_ : 'a ctx) ~key:(_ : int list) (_ : 'a ctx -> (int list * 'a) list) = ()\n\
+       end\n" );
+    ( "lib/parallel/parallel.mli",
+      "type pool\n\
+       val map : pool -> ('a -> 'b) -> 'a list -> 'b list\n\
+       val parallel_for : pool -> n:int -> (int -> unit) -> unit\n\
+       module Steal : sig\n\
+      \  type 'a ctx\n\
+      \  val run : pool -> (int list * ('a ctx -> (int list * 'a) list)) array -> (int list * 'a) list\n\
+      \  val spawn : 'a ctx -> key:int list -> ('a ctx -> (int list * 'a) list) -> unit\n\
+       end\n" );
+  ]
+
 let test_r3_violations () =
   let report =
     scan
-      [
+      (parallel_stub
+      @ [
         ( "lib/core/fanout.ml",
           "let total pool xs =\n\
           \  let sum = ref 0 in\n\
@@ -229,14 +289,15 @@ let test_r3_violations () =
           \  let tbl = Hashtbl.create 4 in\n\
           \  Parallel.map pool (fun x -> Hashtbl.replace tbl x x) xs\n" );
         ("lib/core/fanout.mli", "val total : int -> int list -> unit list\n");
-      ]
+      ])
   in
   check_rule_count "captured ref and captured table" "R3" 2 report
 
 let test_r3_task_local_clean () =
   let report =
     scan
-      [
+      (parallel_stub
+      @ [
         ( "lib/core/local.ml",
           "let squares pool xs =\n\
           \  Parallel.map pool\n\
@@ -248,7 +309,7 @@ let test_r3_task_local_clean () =
           \      !acc)\n\
           \    xs\n" );
         ("lib/core/local.mli", "val squares : int -> int list -> int list\n");
-      ]
+      ])
   in
   check_rule_count "task-local mutation is fine" "R3" 0 report
 
@@ -258,7 +319,8 @@ let test_r3_steal_violations () =
      [spawn] body. *)
   let report =
     scan
-      [
+      (parallel_stub
+      @ [
         ( "lib/core/stealbad.ml",
           "let bad_run pool =\n\
           \  let hits = ref 0 in\n\
@@ -269,7 +331,7 @@ let test_r3_steal_violations () =
         ( "lib/core/stealbad.mli",
           "val bad_run : Parallel.pool -> (int list * int) list\n\
            val bad_spawn : int Parallel.Steal.ctx -> unit\n" );
-      ]
+      ])
   in
   check_rule_count "captured ref in a task tuple, captured table in a spawn body" "R3" 2 report
 
@@ -280,7 +342,8 @@ let test_r3_steal_task_local_clean () =
      closure itself. *)
   let report =
     scan
-      [
+      (parallel_stub
+      @ [
         ( "lib/core/stealok.ml",
           "let clean_run pool xs =\n\
           \  Parallel.Steal.run pool\n\
@@ -293,7 +356,7 @@ let test_r3_steal_task_local_clean () =
           \             [ ([ x ], !acc) ]) ))\n\
           \       xs)\n" );
         ("lib/core/stealok.mli", "val clean_run : Parallel.pool -> int array -> (int list * int) list\n");
-      ]
+      ])
   in
   check_rule_count "task-local mutation under Steal.run is fine" "R3" 0 report
 
@@ -338,8 +401,8 @@ let test_r4_clean () =
 (* ---------- R6: lock discipline ---------- *)
 
 let test_r6_lock_leak_on_raise () =
-  (* The callee between lock and unlock can raise; the Parsetree layer
-     cannot see that, the typed walker must. *)
+  (* The callee between lock and unlock can raise; matching spellings
+     cannot see that, the flow analysis must. *)
   let report =
     scan
       [
@@ -573,11 +636,62 @@ let test_r5 () =
   | [ f ] -> Alcotest.(check string) "file" "lib/prng/naked.ml" f.Lint.Finding.file
   | _ -> Alcotest.fail "expected one R5 finding"
 
-(* ---------- parse failures ---------- *)
+(* ---------- P0: files without a typedtree ---------- *)
 
 let test_parse_failure () =
-  let report = scan [ ("lib/prng/broken.ml", "let = in +++\n") ] in
+  let report = lint [ ("lib/prng/broken.ml", "let = in +++\n") ] in
   check_rule_count "one P0 finding" "P0" 1 report
+
+let test_ill_typed () =
+  let report =
+    lint [ ("lib/prng/bad.ml", "let x = 1 + \"one\"\n"); ("lib/prng/bad.mli", "val x : int\n") ]
+  in
+  check_rule_count "one P0 finding" "P0" 1 report;
+  match by_rule "P0" report with
+  | [ f ] ->
+    Alcotest.(check bool) "says why and how to fix it" true
+      (contains ~needle:"does not typecheck in isolation" f.Lint.Finding.message
+      && contains ~needle:"dune build @check" f.Lint.Finding.message)
+  | _ -> Alcotest.fail "expected one P0 finding"
+
+(* Under `dune runtest` the cwd is _build/default/test and the parent
+   holds the full copied source tree; under `dune exec` from the
+   workspace root the cwd is the tree itself. *)
+let repo_root () =
+  let cwd = Sys.getcwd () in
+  if Sys.file_exists (Filename.concat cwd "lib") then cwd else Filename.dirname cwd
+
+let test_stale_cmt () =
+  (* A real cmt of lib/prng/splitmix64.ml sits next to a source it was
+     not compiled from: its typedtree describes other code, so the
+     analyzer must type the file on disk and see its leak. *)
+  let cmt = "lib/prng/.prng.objs/byte/prng__Splitmix64.cmt" in
+  let built =
+    List.find Sys.file_exists
+      (List.map
+         (fun dir -> Filename.concat (Filename.concat (repo_root ()) dir) cmt)
+         [ ""; "_build/default" ])
+  in
+  let report =
+    with_tree
+      [
+        ( "lib/prng/splitmix64.ml",
+          "let peek path =\n\
+          \  let ic = open_in_bin path in\n\
+          \  let s = really_input_string ic 4 in\n\
+          \  close_in ic;\n\
+          \  s\n" );
+        ("lib/prng/splitmix64.mli", "val peek : string -> string\n");
+      ]
+      (fun root ->
+        let copy = Filename.concat root cmt in
+        mkdir_p (Filename.dirname copy);
+        Out_channel.with_open_bin copy (fun oc ->
+            Out_channel.output_string oc (In_channel.with_open_bin built In_channel.input_all));
+        Lint.run ~root ())
+  in
+  check_rule_count "the source on disk is analyzed" "R7" 1 report;
+  check_rule_count "and it types in-process" "P0" 0 report
 
 (* ---------- baseline ---------- *)
 
@@ -875,25 +989,15 @@ let test_rule_book () =
 (* ---------- end-to-end: the repo tree is clean ---------- *)
 
 let test_repo_tree_clean () =
-  (* Under `dune runtest` the cwd is _build/default/test and the parent
-     holds the full copied source tree; under `dune exec` from the
-     workspace root the cwd is the tree itself. *)
-  let cwd = Sys.getcwd () in
-  let root =
-    if Sys.file_exists (Filename.concat cwd "lib") then cwd else Filename.dirname cwd
-  in
-  let report = Lint.run ~root () in
+  let report = Lint.run ~root:(repo_root ()) () in
   Alcotest.(check int)
     (String.concat "\n" ("repo tree lints clean" :: List.map Lint.Finding.to_human report.Lint.findings))
     0
     (List.length report.Lint.findings);
   Alcotest.(check bool) "scanned a real tree" true (report.Lint.files_scanned > 50);
-  (* The semantic layer must actually have run: most library sources
-     acquire a typedtree (via cmt artifacts or in-process typing). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "typed pipeline covered the library (%d typed)" report.Lint.files_typed)
-    true
-    (report.Lint.files_typed > 40)
+  (* Every scanned file has a current typedtree: the test's dune stanza
+     depends on @check, which writes a cmt for every module. *)
+  Alcotest.(check int) "every file typed" report.Lint.files_scanned report.Lint.files_typed
 
 let () =
   Alcotest.run "lint"
@@ -901,6 +1005,8 @@ let () =
       ( "r1-determinism",
         [
           Alcotest.test_case "wall-clock and unordered iteration flagged" `Quick test_r1_violations;
+          Alcotest.test_case "seed reached through a local open" `Quick test_r1_local_open;
+          Alcotest.test_case "seed reached through a module alias" `Quick test_r1_module_alias;
           Alcotest.test_case "sorted fold is clean" `Quick test_r1_sorted_fold_clean;
           Alcotest.test_case "engine allowlist" `Quick test_r1_allowlist;
         ] );
@@ -956,6 +1062,8 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "parse failure becomes P0" `Quick test_parse_failure;
+          Alcotest.test_case "ill-typed file becomes P0" `Quick test_ill_typed;
+          Alcotest.test_case "stale cmt is not analyzed" `Quick test_stale_cmt;
           Alcotest.test_case "baseline suppresses and counts" `Quick test_baseline_suppression;
           Alcotest.test_case "baseline file roundtrip" `Quick test_baseline_file_roundtrip;
           Alcotest.test_case "baseline rejects garbage" `Quick test_baseline_rejects_garbage;
