@@ -525,15 +525,6 @@ let corpus_cmd =
   in
   let build_cmd =
     let max_area = max_area_arg 10 "Decide" in
-    let shards =
-      Arg.(
-        value
-        & opt (some int) None
-        & info [ "shards" ] ~docv:"K"
-            ~doc:
-              "Segment shards. A new corpus defaults to 8; resuming keeps the corpus's own \
-               count, and an explicit K that differs from it is an error.")
-    in
     let kill_at =
       Arg.(
         value & opt int 0
@@ -542,14 +533,14 @@ let corpus_cmd =
               "Test hook: kill -9 this process halfway through band BAND's appends, leaving a \
                torn corpus for the crash-recovery checks (0 = disabled).")
     in
-    let run () dir max_area shards kill_at =
+    let run () dir max_area kill_at =
       if max_area < 1 then Error (`Msg "-n must be at least 1")
       else begin
         let progress ~n ~done_ ~total =
           if n = kill_at && done_ = (total + 1) / 2 then
             Unix.kill (Unix.getpid ()) Sys.sigkill
         in
-        match Corpus.Campaign.run ?shards ~progress ~dir ~max_n:max_area () with
+        match Corpus.Campaign.run ~progress ~dir ~max_n:max_area () with
         | Ok report ->
           Format.printf "%a@." Corpus.Campaign.pp_report report;
           Ok ()
@@ -564,7 +555,7 @@ let corpus_cmd =
             verdicts to sharded segments with a fsynced checkpoint after every band, and seal \
             the per-shard indexes. A killed build resumes from its last checkpoint and produces \
             a byte-identical corpus.")
-      Term.(term_result (const run $ jobs_term $ dir_arg $ max_area $ shards $ kill_at))
+      Term.(term_result (const run $ jobs_term $ dir_arg $ max_area $ kill_at))
   in
   let stats_cmd =
     (* Reads the manifest directly (not through Snapshot.open_) so a
@@ -788,16 +779,6 @@ let lint_cmd =
       & opt (enum [ ("human", `Human); ("json", `Json); ("sarif", `Sarif) ]) `Human
       & info [ "f"; "format" ] ~docv:"FMT" ~doc:"Report format: human, json, or sarif.")
   in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Suppress findings listed in FILE (one per line, \
-             RULE<TAB>FILE<TAB>MESSAGE; '#' comments). Suppressed counts still appear in the \
-             summary.")
-  in
   let root_arg =
     Arg.(
       value & opt dir "."
@@ -807,35 +788,16 @@ let lint_cmd =
   let rules_arg =
     Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule book (ids, scopes, allowlists) and exit.")
   in
-  let allow_stale_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-stale" ]
-          ~doc:
-            "Do not fail when a baseline entry matches no current finding (B0). Use while \
-             burning a baseline down incrementally.")
-  in
-  let run format baseline allow_stale root rules =
-    if rules then begin
-      print_endline (Lint.Rules.describe ());
-      Ok ()
-    end
+  let run format root rules =
+    if rules then print_endline (Lint.Rules.describe ())
     else
-      let ( let* ) = Result.bind in
-      let* baseline =
-        match baseline with
-        | None -> Ok Lint.Baseline.empty
-        | Some path ->
-          Result.map_error (fun msg -> `Msg ("cannot load baseline: " ^ msg))
-            (Lint.Baseline.load path)
-      in
-      let report = Lint.run ~baseline ~allow_stale ~root () in
+      let report = Lint.run ~root in
       print_string
         (match format with
         | `Human -> Lint.render_human report
         | `Json -> Lint.render_json report
         | `Sarif -> Lint.render_sarif report);
-      if report.Lint.findings = [] then Ok () else Stdlib.exit 1
+      if report.Lint.findings <> [] then Stdlib.exit 1
   in
   Cmd.v
     (Cmd.info "lint"
@@ -844,10 +806,8 @@ let lint_cmd =
           checked on its typedtree (the current .cmt from $(b,dune build @check), else typed \
           in-process); a file with neither is a P0 finding. Rules: R1-R5, interprocedural \
           determinism taint (R1'), lock discipline (R6), and resource lifetime (R7). Unused \
-          allowlist entries (A0) and stale baseline entries (B0) are findings too. Exits 1 if \
-          any finding survives the baseline.")
-    Term.(
-      term_result (const run $ format_arg $ baseline_arg $ allow_stale_arg $ root_arg $ rules_arg))
+          allowlist entries (A0) are findings too. Exits 1 on any finding.")
+    Term.(const run $ format_arg $ root_arg $ rules_arg)
 
 (* ---------- lifetime ---------- *)
 

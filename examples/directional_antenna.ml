@@ -75,10 +75,10 @@ let () =
   List.iteri
     (fun i r ->
       let verdict =
-        match Tiling.Search.exactness r with
-        | `Exact -> "exact"
-        | `NotExact -> "not exact"
-        | `Unknown -> "unknown"
+        match Boundary_word.classify r with
+        | Factorized _ -> "exact"
+        | Refuted _ -> "not exact"
+        | Not_applicable -> "not a polyomino"
       in
       Printf.printf "  rotation %d: %s (m = %d)\n" (i * 90) verdict (Prototile.size r))
     (Prototile.rotations n);

@@ -196,25 +196,20 @@ let append_band dir m ~pool ~progress ~n tiles =
   write_manifest dir m;
   m
 
-let run ?pool ?shards ?(progress = fun ~n:_ ~done_:_ ~total:_ -> ()) ~dir ~max_n () =
+(* Segment shards of a new corpus; a resumed one keeps its manifest's. *)
+let new_corpus_shards = 8
+
+let run ?pool ?(progress = fun ~n:_ ~done_:_ ~total:_ -> ()) ~dir ~max_n () =
   let ( let* ) = Result.bind in
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   let* () =
     if max_n < 1 || max_n > 255 then Error "Campaign.run: max_n must be in 1..255" else Ok ()
   in
-  let* () =
-    if Option.value shards ~default:1 >= 1 then Ok () else Error "Campaign.run: shards must be >= 1"
-  in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let* m =
     let path = manifest_path dir in
-    if Sys.file_exists path then
-      let* m = Layout.manifest_of_string (read_file path) in
-      match shards with
-      | Some k when k <> m.Layout.shards ->
-        Error (Printf.sprintf "corpus at %s was built with %d shards, not %d" dir m.Layout.shards k)
-      | _ -> Ok m
-    else Ok { Layout.shards = Option.value shards ~default:8; sealed = false; bands = [] }
+    if Sys.file_exists path then Layout.manifest_of_string (read_file path)
+    else Ok { Layout.shards = new_corpus_shards; sealed = false; bands = [] }
   in
   let* () = repair_segments dir m in
   let completed = Layout.completed m in

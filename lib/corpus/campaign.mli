@@ -54,9 +54,6 @@ type report = {
 
 val run :
   ?pool:Parallel.pool ->
-  ?shards:int ->
-  (* an existing corpus keeps its own count, and an explicit mismatch is
-     an [Error]; a new corpus defaults to 8 *)
   ?progress:(n:int -> done_:int -> total:int -> unit) ->
   (* called after each appended record; the crash tests' injection point *)
   dir:string ->
@@ -64,7 +61,8 @@ val run :
   unit ->
   (report, string) result
 (** Build or resume the corpus at [dir] up to band [max_n] (1..255) and
-    seal it.  Completed bands are skipped ([skipped_bands] counts them);
+    seal it.  A new corpus has 8 segment shards; a resumed one keeps its
+    own count.  Completed bands are skipped ([skipped_bands] counts them);
     a partial band left by a crash is truncated away and redone. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,20 +1,31 @@
 (* The semantic analyses over typedtrees: R1' interprocedural
-   determinism taint, R6 lock discipline and R7 resource lifetime.
+   determinism taint, and one acquire/release walk ({!check}) that
+   checks both R6 lock discipline and R7 resource lifetime.
 
-   All three share one approximation of "can this expression raise":
-   a call is assumed to raise unless its head is on the safe-external
-   list or is a local let-bound lambda whose body was summarized as
-   non-raising.  [assert false] and [Texp_unreachable] mark dead code
-   and are never treated as raises; a [Partial] match is a potential
-   Match_failure.  Misclassifying a raising function as safe loses a
-   finding; the reverse invents one, so the safe list is deliberately
-   short.
+   The walk is path-sensitive over one top-level binding.  Its state is
+   the set of held things: lock names for R6, let-bound resources by
+   ident for R7.  Control flow is defined once - let scoping,
+   match/try/if merges, loops, raise points, [Fun.protect] finalizers
+   and local helpers - and a rule supplies only its acquire/release
+   heads, how it merges branches and how it reports.
+
+   "Can this expression raise" is approximated once: a call is assumed
+   to raise unless its head is on the safe-external list or is a local
+   let-bound lambda whose body was summarized as non-raising.
+   [assert false] and [Texp_unreachable] mark dead code and are never
+   treated as raises; a [Partial] match is a potential Match_failure.
+   Misclassifying a raising function as safe loses a finding; the
+   reverse invents one, so the safe list is deliberately short.
 
    Blind spots (documented in DESIGN.md paragraph 15): functions inside
-   nested modules are not call-graph nodes, [f @@ x] / [x |> f] hide
-   the callee from the head check, [Mutex.try_lock] is not modeled, and
-   a lambda passed to an unknown function conservatively marks captured
-   resources as escaped rather than leaked. *)
+   nested modules are not call-graph nodes; [f @@ x] / [x |> f] hide
+   the callee from the head check; [Mutex.try_lock] is not modeled; a
+   [try] handler or an [exception] case is not cleanup (a raise in the
+   body leaks even if the handler closes); a helper's summary is
+   order-blind (what it releases counts as released before it can
+   raise) and holds only the releases written in its own body; and a
+   resource handed to unknown code (returned, stored, captured by a
+   lambda or helper passed on) escapes rather than leaks. *)
 
 open Typedtree
 module S = Set.Make (String)
@@ -88,9 +99,6 @@ let is_false_construct e =
   | Texp_construct (_, cd, _) -> cd.Types.cstr_name = "false"
   | _ -> false
 
-(* Per-function summaries of local let-bound lambdas. *)
-type lsum = { s_may_raise : bool; s_unlocks : S.t; s_closes : S.t }
-
 let value_pat_idents p = List.map fst (Callgraph.pattern_idents p)
 
 let binding_name vb =
@@ -98,9 +106,30 @@ let binding_name vb =
 
 let is_function e = match e.exp_desc with Texp_function _ -> true | _ -> false
 
-(* May evaluating [e] raise?  [locals] maps local lambda names to their
-   summaries; a name being summarized is pre-seeded as non-raising so
-   self-recursion does not poison its own summary. *)
+let iter_exprs ~f e =
+  let it = Checks.on_exprs f in
+  it.expr it e
+
+(* Summary of a local let-bound lambda, keyed by the unique name of its
+   ident: can a call raise, what does a call release (rule-specific),
+   and which local idents does it read (with everything the local
+   helpers it reads capture). *)
+type lsum = { s_may_raise : bool; s_releases : S.t; s_captures : S.t }
+
+(* Can calling this head raise?  A local lambda answers from its summary;
+   one being summarized is pre-seeded as non-raising so self-recursion
+   does not poison its own summary. *)
+let callee_may_raise ~locals p comps =
+  is_raise_head comps
+  || (not (safe_head comps))
+     &&
+     match p with
+     | Path.Pident id -> (
+       match Hashtbl.find_opt locals (Ident.unique_name id) with
+       | Some s -> s.s_may_raise
+       | None -> true)
+     | _ -> true
+
 let expr_may_raise ~locals e =
   let flag = ref false in
   let it =
@@ -116,16 +145,7 @@ let expr_may_raise ~locals e =
           | Texp_letop _ -> flag := true
           | Texp_apply (f, _) -> (
             match head_of f with
-            | Some (p, comps) ->
-              if is_raise_head comps then flag := true
-              else if not (safe_head comps) then begin
-                match p with
-                | Path.Pident id -> (
-                  match Hashtbl.find_opt locals (Ident.name id) with
-                  | Some s -> if s.s_may_raise then flag := true
-                  | None -> flag := true)
-                | _ -> flag := true
-              end
+            | Some (p, comps) -> if callee_may_raise ~locals p comps then flag := true
             | None -> flag := true)
           | _ -> ());
           match e.exp_desc with
@@ -136,106 +156,25 @@ let expr_may_raise ~locals e =
   it.expr it e;
   !flag
 
+let local_helper ~locals e =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident id, _, _) -> Hashtbl.find_opt locals (Ident.unique_name id)
+  | _ -> None
+
+(* Does this application (callee plus the lambdas and local helpers a
+   combinator would run) potentially raise? *)
+let app_may_raise ~locals p comps arg_exprs =
+  callee_may_raise ~locals p comps
+  || List.exists
+       (fun a ->
+         if is_function a then expr_may_raise ~locals a
+         else match local_helper ~locals a with Some s -> s.s_may_raise | None -> false)
+       arg_exprs
+
 let has_substring s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* Normalized spelling of a mutex expression, the lock identity used by
-   the R6 state ([pool.mutex], [d.dq_mutex], a bare binding name...). *)
-let rec lock_name e =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> dotted (Callgraph.normalize p)
-  | Texp_field (b, _, ld) -> lock_name b ^ "." ^ ld.Types.lbl_name
-  | _ -> Printf.sprintf "<mutex@%d>" e.exp_loc.Location.loc_start.Lexing.pos_lnum
-
-let iter_exprs ~f e =
-  let it = Checks.on_exprs f in
-  it.expr it e
-
-let unlocks_in e =
-  let acc = ref S.empty in
-  iter_exprs e ~f:(fun e ->
-      match e.exp_desc with
-      | Texp_apply (f, args) -> (
-        match (head_of f, List.filter_map snd args) with
-        | Some (_, [ "Mutex"; "unlock" ]), m :: _ -> acc := S.add (lock_name m) !acc
-        | _ -> ())
-      | _ -> ());
-  !acc
-
-let close_head = function
-  | [ "Unix"; "close" ]
-  | [ ("close_in" | "close_out" | "close_in_noerr" | "close_out_noerr") ]
-  | [ "In_channel"; "close" ]
-  | [ "Out_channel"; ("close" | "close_noerr") ] -> true
-  | _ -> false
-
-let closes_in e =
-  let acc = ref S.empty in
-  iter_exprs e ~f:(fun e ->
-      match e.exp_desc with
-      | Texp_apply (f, args) -> (
-        match (head_of f, List.filter_map snd args) with
-        | Some (_, comps), { exp_desc = Texp_ident (Path.Pident id, _, _); _ } :: _
-          when close_head comps ->
-          acc := S.add (Ident.unique_name id) !acc
-        | _ -> ())
-      | _ -> ());
-  !acc
-
-(* Does this expression close things when called?  Either directly
-   ([Unix.close fd]) or over a whole fd array ([Array.iter Unix.close
-   fds], with or without a per-element wrapper lambda). *)
-let closer_closes c =
-  (match head_of c with Some (_, comps) -> close_head comps | None -> false)
-  || (is_function c && not (S.is_empty (closes_in c)))
-
-let array_iter_closes e =
-  let acc = ref S.empty in
-  iter_exprs e ~f:(fun e ->
-      match e.exp_desc with
-      | Texp_apply (f, args) -> (
-        match (head_of f, List.filter_map snd args) with
-        | ( Some (_, [ "Array"; "iter" ]),
-            [ closer; { exp_desc = Texp_ident (Path.Pident id, _, _); _ } ] )
-          when closer_closes closer ->
-          acc := S.add (Ident.unique_name id) !acc
-        | _ -> ())
-      | _ -> ());
-  !acc
-
-let closes_full e = S.union (closes_in e) (array_iter_closes e)
-
-let summarize ~locals name e =
-  Hashtbl.replace locals name { s_may_raise = false; s_unlocks = S.empty; s_closes = S.empty };
-  let s =
-    {
-      s_may_raise = expr_may_raise ~locals e;
-      s_unlocks = unlocks_in e;
-      s_closes = closes_full e;
-    }
-  in
-  Hashtbl.replace locals name s
-
-(* Does this application (callee plus any lambda arguments a combinator
-   would run inline) potentially raise? *)
-let app_may_raise ~locals p comps arg_exprs =
-  let callee =
-    if is_raise_head comps then true
-    else if safe_head comps then false
-    else
-      match p with
-      | Path.Pident id -> (
-        match Hashtbl.find_opt locals (Ident.name id) with
-        | Some s -> s.s_may_raise
-        | None -> true)
-      | _ -> true
-  in
-  callee
-  || List.exists
-       (fun a -> if is_function a then expr_may_raise ~locals a else false)
-       arg_exprs
 
 (* A record expression's subexpressions: the copied record, then the
    overridden fields. *)
@@ -250,290 +189,410 @@ let protect_args args =
   ( List.find_map (function Asttypes.Labelled "finally", e -> e | _ -> None) args,
     List.find_map (function Asttypes.Nolabel, e -> e | _ -> None) args )
 
-type actx = { file : string; mutable findings : Finding.t list }
+let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
 
-let report ctx ~rule ~loc fmt =
+(* ---------- R6 and R7: one acquire/release walk ---------- *)
+
+(* A let-bound resource (R7), held under the unique name of its ident. *)
+type resource = { r_key : string; r_name : string; r_kind : string; r_open : Location.t }
+
+(* Per top-level binding: the findings, the local lambda summaries, the
+   tracked resources, those that escaped (returned, stored, captured by
+   a lambda handed to unknown code: their lifetime belongs to the
+   surrounding protocol), and each resource's first raise point. *)
+type ctx = {
+  file : string;
+  mutable findings : Finding.t list;
+  locals : (string, lsum) Hashtbl.t;
+  tracked : (string, resource) Hashtbl.t;
+  mutable escaped : S.t;
+  leaks : (string, string * int) Hashtbl.t;
+}
+
+(* Why a path can leave without falling through. *)
+type cause =
+  | Partial_match
+  | Assert
+  | Binding_operator
+  | Raise of string list  (** [raise], [failwith], ... *)
+  | Call of string list  (** any other call that can raise *)
+  | Protect_body  (** a [Fun.protect] body that is not a literal lambda *)
+
+(* What the walk tells a rule. *)
+type event =
+  | Exposed of cause * S.t  (** held, unprotected and not escaped at a raise point *)
+  | Diverges of S.t  (** held on some paths out of a merge but not others *)
+  | Unbalanced of S.t * S.t  (** held before and after one loop iteration *)
+  | Returns of S.t  (** held when a lambda returns, beyond what it held on entry *)
+  | Finishes of string * S.t  (** held when this top-level binding finishes *)
+  | Leaks of resource * string * int  (** at scope end: the first raise point *)
+  | Unclosed of resource  (** at scope end: still open on some path *)
+
+(* What a rule makes of a call head: it moves the held set (acquire,
+   release), or it is an ordinary call, one that never raises for this
+   rule or one that may. *)
+type head = Moves of S.t | Never_raises | Ordinary
+
+type rule = {
+  id : string;
+  acquires : value_binding -> resource option;  (** let-bound resources *)
+  head : ctx -> Location.t -> protected:S.t -> S.t -> string list -> expression list -> head;
+  releases_in : expression -> S.t;  (** what a helper or finalizer releases *)
+  join : S.t -> S.t -> S.t;  (** merge of the paths out of a branch *)
+  report : ctx -> Location.t -> event -> unit;
+}
+
+let emit ctx ~rule ~loc fmt =
   Printf.ksprintf
     (fun message ->
       ctx.findings <-
         Finding.make ~rule ~severity:Finding.Error ~file:ctx.file ~loc message :: ctx.findings)
     fmt
 
-let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
+(* The unique names [e] reads, with everything the local helpers among
+   them capture. *)
+let captures ctx e =
+  let direct = ref S.empty in
+  iter_exprs e ~f:(fun e ->
+      match e.exp_desc with
+      | Texp_ident (Path.Pident id, _, _) -> direct := S.add (Ident.unique_name id) !direct
+      | _ -> ());
+  S.fold
+    (fun n acc ->
+      match Hashtbl.find_opt ctx.locals n with Some s -> S.union s.s_captures acc | None -> acc)
+    !direct !direct
 
-(* ---------- R6: lock discipline ---------- *)
+let tracked_key ctx e =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident id, _, _) when Hashtbl.mem ctx.tracked (Ident.unique_name id) ->
+    Some (Ident.unique_name id)
+  | _ -> None
 
-(* Symbolic walk of one function body.  The state is the set of lock
-   names held on the current path; [None] means the path cannot fall
-   through (raise or dead code).  [protected] carries locks that a
-   surrounding [Fun.protect] finalizer is guaranteed to release. *)
-let r6_check_binding ctx vb =
-  let locals : (string, lsum) Hashtbl.t = Hashtbl.create 8 in
-  let unprotected held protected = S.diff held protected in
-  let held_str held = String.concat ", " (S.elements held) in
+let summarize rule ctx vb =
+  match value_pat_idents vb.vb_pat with
+  | [] -> ()
+  | id :: _ ->
+    let key = Ident.unique_name id and e = vb.vb_expr in
+    Hashtbl.replace ctx.locals key
+      { s_may_raise = false; s_releases = S.empty; s_captures = S.empty };
+    Hashtbl.replace ctx.locals key
+      {
+        s_may_raise = expr_may_raise ~locals:ctx.locals e;
+        s_releases = rule.releases_in e;
+        s_captures = captures ctx e;
+      }
+
+(* Symbolic walk of one top-level binding.  The state is the set of
+   things held on the current path (lock names for R6, resource keys for
+   R7); [None] means the path cannot fall through (raise or dead code).
+   [protected] carries what a surrounding [Fun.protect] finalizer is
+   guaranteed to release.  A lambda a stdlib combinator runs is walked
+   in place from the caller's state; any other lambda is walked as a
+   function of its own from the empty state, and the resources it
+   captures escape.  A let-bound helper behaves the same: called
+   directly (or by a combinator) its summary applies, handed to unknown
+   code its captures escape. *)
+let check rule ~file vb =
+  let ctx =
+    {
+      file;
+      findings = [];
+      locals = Hashtbl.create 8;
+      tracked = Hashtbl.create 8;
+      escaped = S.empty;
+      leaks = Hashtbl.create 8;
+    }
+  in
+  let helper = local_helper ~locals:ctx.locals in
+  let escape names =
+    ctx.escaped <- S.union ctx.escaped (S.filter (Hashtbl.mem ctx.tracked) names)
+  in
+  let exit_point loc cause held protected =
+    let exposed = S.diff (S.diff held protected) ctx.escaped in
+    if not (S.is_empty exposed) then rule.report ctx loc (Exposed (cause, exposed))
+  in
+  let scope_end result r =
+    if not (S.mem r.r_key ctx.escaped) then
+      match (Hashtbl.find_opt ctx.leaks r.r_key, result) with
+      | Some (callee, line), _ -> rule.report ctx r.r_open (Leaks (r, callee, line))
+      | None, Some held when S.mem r.r_key held -> rule.report ctx r.r_open (Unclosed r)
+      | None, _ -> ()
+  in
   let rec walk protected held e : S.t option =
     let loc = e.exp_loc in
     match e.exp_desc with
+    | Texp_ident (Path.Pident _, _, _) ->
+      escape (captures ctx e);
+      Some held
     | Texp_ident _ | Texp_constant _ | Texp_instvar _ | Texp_extension_constructor _ ->
       Some held
     | Texp_unreachable -> None
     | Texp_let (_, vbs, body) ->
+      let introduced = ref [] in
       let after =
         List.fold_left
           (fun acc vb ->
             match acc with
             | None -> None
-            | Some h ->
-              if is_function vb.vb_expr then begin
-                summarize ~locals (binding_name vb) vb.vb_expr;
-                analyze_lambda protected vb.vb_expr;
-                Some h
-              end
-              else walk protected h vb.vb_expr)
+            | Some h when is_function vb.vb_expr ->
+              summarize rule ctx vb;
+              lambda_body protected S.empty vb.vb_expr;
+              Some h
+            | Some h -> (
+              let resource = rule.acquires vb in
+              match (walk protected h vb.vb_expr, resource) with
+              | Some h, Some r ->
+                Hashtbl.replace ctx.tracked r.r_key r;
+                introduced := r :: !introduced;
+                Some (S.add r.r_key h)
+              | after, _ -> after))
           (Some held) vbs
       in
-      (match after with None -> None | Some h -> walk protected h body)
+      let result = Option.bind after (fun h -> walk protected h body) in
+      List.iter (scope_end result) (List.rev !introduced);
+      Option.map (fun h -> List.fold_left (fun h r -> S.remove r.r_key h) h !introduced) result
     | Texp_function _ ->
-      analyze_lambda protected e;
+      deferred protected e;
+      Some held
+    | Texp_lazy body ->
+      deferred protected body;
       Some held
     | Texp_apply (f, args) -> apply protected held loc f args
-    | Texp_match (scrut, cases, partial) -> (
-      match walk protected held scrut with
-      | None -> None
-      | Some h ->
-        if partial = Partial && not (S.is_empty (unprotected h protected)) then
-          report ctx ~rule:"R6" ~loc
-            "partial match can raise Match_failure while %s is held; make the match total or \
-             release first"
-            (held_str (unprotected h protected));
-        merge loc (List.map (fun c -> walk_case protected h c) cases))
+    | Texp_match (scrut, cases, partial) ->
+      Option.bind (walk protected held scrut) (fun h ->
+          if partial = Partial then exit_point loc Partial_match h protected;
+          merge loc (List.map (fun c -> walk_case protected h c) cases))
     | Texp_try (body, handlers) ->
       let rb = walk protected held body in
       merge loc (rb :: List.map (fun c -> walk_case protected held c) handlers)
-    | Texp_ifthenelse (c, t, eo) -> (
-      match walk protected held c with
-      | None -> None
-      | Some h ->
-        let rt = walk protected h t in
-        let re = match eo with Some e -> walk protected h e | None -> Some h in
-        merge loc [ rt; re ])
-    | Texp_sequence (a, b) -> (
-      match walk protected held a with None -> None | Some h -> walk protected h b)
+    | Texp_ifthenelse (c, t, eo) ->
+      Option.bind (walk protected held c) (fun h ->
+          let re = match eo with Some e -> walk protected h e | None -> Some h in
+          merge loc [ walk protected h t; re ])
+    | Texp_sequence (a, b) -> walk_list protected held [ a; b ]
     | Texp_while (c, body) ->
-      (match walk protected held c with
-      | None -> ()
-      | Some h -> (
-        match walk protected h body with
-        | Some h' when not (S.equal h' h) ->
-          report ctx ~rule:"R6" ~loc
-            "lock state changes across a loop iteration (%s vs %s); each iteration must be \
-             balanced"
-            (held_str h) (held_str h')
-        | _ -> ()));
+      Option.iter (fun h -> iterate protected loc h body) (walk protected held c);
       Some held
     | Texp_for (_, _, lo, hi, _, body) ->
-      (match walk protected held lo with
-      | None -> ()
-      | Some h -> (
-        match walk protected h hi with
-        | None -> ()
-        | Some h2 -> (
-          match walk protected h2 body with
-          | Some h' when not (S.equal h' h2) ->
-            report ctx ~rule:"R6" ~loc
-              "lock state changes across a loop iteration (%s vs %s); each iteration must be \
-               balanced"
-              (held_str h2) (held_str h')
-          | _ -> ())));
+      Option.iter (fun h -> iterate protected loc h body) (walk_list protected held [ lo; hi ]);
       Some held
     | Texp_assert (cond, _) when is_false_construct cond -> None
     | Texp_assert (cond, _) ->
-      if not (S.is_empty (unprotected held protected)) then
-        report ctx ~rule:"R6" ~loc
-          "assert can raise Assert_failure while %s is held; release first or use Fun.protect"
-          (held_str (unprotected held protected));
+      exit_point loc Assert held protected;
       walk protected held cond
-    | Texp_tuple es | Texp_array es -> walk_list protected held es
-    | Texp_construct (_, _, es) -> walk_list protected held es
-    | Texp_variant (_, eo) -> (
-      match eo with Some e -> walk protected held e | None -> Some held)
+    | Texp_tuple es | Texp_array es | Texp_construct (_, _, es) -> walk_list protected held es
+    | Texp_variant (_, eo) -> walk_list protected held (Option.to_list eo)
     | Texp_record { fields; extended_expression; _ } ->
       walk_list protected held (record_parts extended_expression fields)
     | Texp_field (b, _, _) -> walk protected held b
-    | Texp_setfield (b, _, _, v) -> (
-      match walk protected held b with None -> None | Some h -> walk protected h v)
-    | Texp_lazy _ -> Some held
+    | Texp_setfield (b, _, _, v) -> walk_list protected held [ b; v ]
     | Texp_letmodule (_, _, _, _, body) | Texp_letexception (_, body) | Texp_open (_, body) ->
       walk protected held body
     | Texp_letop { let_; ands; body; _ } ->
-      let after =
-        List.fold_left
-          (fun acc bop ->
-            match acc with None -> None | Some h -> walk protected h bop.bop_exp)
-          (Some held) (let_ :: ands)
-      in
-      (match after with
-      | None -> None
-      | Some h ->
-        if not (S.is_empty (unprotected h protected)) then
-          report ctx ~rule:"R6" ~loc
-            "binding operator can short-circuit while %s is held; release before the let* \
-             chain or use Fun.protect"
-            (held_str (unprotected h protected));
-        walk protected h body.c_rhs)
+      Option.bind
+        (walk_list protected held (List.map (fun bop -> bop.bop_exp) (let_ :: ands)))
+        (fun h ->
+          exit_point loc Binding_operator h protected;
+          walk protected h body.c_rhs)
     | _ -> Some held
   and walk_case : type k. S.t -> S.t -> k case -> S.t option =
    fun protected held c ->
-    let after_guard =
-      match c.c_guard with Some g -> walk protected held g | None -> Some held
-    in
-    (match after_guard with None -> None | Some h -> walk protected h c.c_rhs)
+    let after_guard = match c.c_guard with Some g -> walk protected held g | None -> Some held in
+    Option.bind after_guard (fun h -> walk protected h c.c_rhs)
   and walk_list protected held es =
-    List.fold_left
-      (fun acc e -> match acc with None -> None | Some h -> walk protected h e)
-      (Some held) es
+    List.fold_left (fun acc e -> Option.bind acc (fun h -> walk protected h e)) (Some held) es
   and merge loc results =
     match List.filter_map Fun.id results with
     | [] -> None
     | first :: rest ->
-      if List.for_all (S.equal first) rest then Some first
-      else begin
-        let union = List.fold_left S.union first rest in
-        let inter = List.fold_left S.inter first rest in
-        report ctx ~rule:"R6" ~loc
-          "%s held on some paths out of this branch but not others; every path must release \
-           the same locks"
-          (held_str (S.diff union inter));
-        Some inter
-      end
-  and analyze_lambda protected e =
+      let union = List.fold_left S.union first rest in
+      let inter = List.fold_left S.inter first rest in
+      if not (S.equal union inter) then rule.report ctx loc (Diverges (S.diff union inter));
+      Some (List.fold_left rule.join first rest)
+  and iterate protected loc held body =
+    match walk protected held body with
+    | Some after when not (S.equal after held) -> rule.report ctx loc (Unbalanced (held, after))
+    | _ -> ()
+  (* A lambda's body (through currying) walked from [entry]; what it
+     holds on return beyond [entry] is reported. *)
+  and lambda_body protected entry e =
     match e.exp_desc with
-    | Texp_function { cases; _ } ->
-      List.iter
-        (fun c ->
-          match walk protected S.empty c.c_rhs with
-          | Some h when not (S.is_empty h) ->
-            report ctx ~rule:"R6" ~loc:c.c_rhs.exp_loc
-              "%s is still held when this function returns; release on every path or use \
-               Fun.protect"
-              (held_str h)
-          | _ -> ())
-        cases
-    | _ -> ignore (walk protected S.empty e)
+    | Texp_function { cases; _ } -> List.iter (fun c -> lambda_body protected entry c.c_rhs) cases
+    | _ -> (
+      match walk protected entry e with
+      | Some h when not (S.subset h entry) -> rule.report ctx e.exp_loc (Returns (S.diff h entry))
+      | _ -> ())
+  and deferred protected e =
+    escape (captures ctx e);
+    lambda_body protected S.empty e
   and apply protected held loc f args =
     let arg_exprs = List.filter_map snd args in
     match head_of f with
     | None -> walk_list protected held (f :: arg_exprs)
+    | Some (_, [ "Fun"; "protect" ]) -> fun_protect protected held loc args
     | Some (p, comps) -> (
-      match (comps, arg_exprs) with
-      | [ "Mutex"; "lock" ], m :: _ ->
-        let name = lock_name m in
-        if S.mem name held then begin
-          report ctx ~rule:"R6" ~loc "double lock of %s: it is already held on this path" name;
-          Some held
-        end
-        else begin
-          if not (S.is_empty held) then
-            report ctx ~rule:"R6" ~loc
-              "acquiring %s while already holding %s%s; nested acquisition blocks other \
-               domains and risks deadlock"
-              name (held_str held)
-              (if S.exists (fun h -> has_substring h "dq_") held then
-                 " (a deque mutex: stealers spin on it)"
-               else "");
-          Some (S.add name held)
-        end
-      | [ "Mutex"; "unlock" ], m :: _ -> Some (S.remove (lock_name m) held)
-      | [ "Condition"; "wait" ], [ _; m ] ->
-        let name = lock_name m in
-        if not (S.mem name held) then
-          report ctx ~rule:"R6" ~loc
-            "Condition.wait on %s which is not held on this path; wait must be called with \
-             the mutex locked"
-            name;
-        let others = S.remove name held in
-        if not (S.is_empty (unprotected others protected)) then
-          report ctx ~rule:"R6" ~loc
-            "Condition.wait parks the domain while still holding %s%s"
-            (held_str (unprotected others protected))
-            (if S.exists (fun h -> has_substring h "dq_") others then
-               " (a deque mutex: stealers spin on it)"
-             else "");
-        Some held
-      | [ "Condition"; _ ], _ -> walk_list protected held arg_exprs
-      | [ "Fun"; "protect" ], _ -> fun_protect protected held loc args
-      | comps, _ when is_raise_head comps ->
-        (match walk_list protected held arg_exprs with
-        | None -> ()
-        | Some h ->
-          if not (S.is_empty (unprotected h protected)) then
-            report ctx ~rule:"R6" ~loc
-              "raising while %s is held leaks the lock; release first or use Fun.protect"
-              (held_str (unprotected h protected)));
-        None
-      | comps, _ ->
+      match rule.head ctx loc ~protected held comps arg_exprs with
+      | Moves h -> Some h
+      | (Never_raises | Ordinary) as kind ->
+        let inline = inline_combinator comps in
         List.iter
-          (fun a -> if is_function a then analyze_lambda protected a)
+          (fun a ->
+            if is_function a then
+              if inline then lambda_body protected held a else deferred protected a)
           arg_exprs;
-        let after =
-          walk_list protected held (List.filter (fun a -> not (is_function a)) arg_exprs)
+        let walked a =
+          not
+            (is_function a || tracked_key ctx a <> None
+            || (inline && helper a <> None))
         in
-        (match after with
-        | None -> None
-        | Some h ->
-          let exposed = unprotected h protected in
-          if not (S.is_empty exposed) then begin
-            if blocking_head comps then
-              report ctx ~rule:"R6" ~loc
-                "blocking call %s while holding %s%s"
-                (dotted comps) (held_str exposed)
-                (if S.exists (fun l -> has_substring l "dq_") exposed then
-                   " (a deque mutex: stealers spin on it)"
-                 else "")
-            else if app_may_raise ~locals p comps arg_exprs then
-              report ctx ~rule:"R6" ~loc
-                "call to %s can raise while %s is held, leaking the lock; release first or \
-                 use Fun.protect"
-                (dotted comps) (held_str exposed)
-          end;
-          Some h))
+        Option.bind (walk_list protected held (List.filter walked arg_exprs)) (fun h ->
+            let h = match helper f with Some s -> S.diff h s.s_releases | None -> h in
+            if kind = Ordinary && app_may_raise ~locals:ctx.locals p comps arg_exprs then
+              exit_point loc (if is_raise_head comps then Raise comps else Call comps) h protected;
+            if is_raise_head comps then None else Some h))
   and fun_protect protected held loc args =
     let finally, thunk = protect_args args in
-    let fin_unlocks =
+    let fin =
       match finally with
-      | Some ({ exp_desc = Texp_ident (Path.Pident id, _, _); _ }) -> (
-        match Hashtbl.find_opt locals (Ident.name id) with
-        | Some s -> s.s_unlocks
-        | None -> S.empty)
-      | Some fe -> unlocks_in fe
+      | Some fe -> (match helper fe with Some s -> s.s_releases | None -> rule.releases_in fe)
       | None -> S.empty
     in
     (match finally with
-    | Some ({ exp_desc = Texp_function _; _ } as fe) -> analyze_lambda protected fe
+    | Some ({ exp_desc = Texp_function _; _ } as fe) -> lambda_body protected S.empty fe
     | _ -> ());
     match thunk with
-    | Some { exp_desc = Texp_function { cases = [ c ]; _ }; _ } -> (
-      match walk (S.union protected fin_unlocks) held c.c_rhs with
-      | None -> None
-      | Some h -> Some (S.diff h fin_unlocks))
+    | Some { exp_desc = Texp_function { cases = [ c ]; _ }; _ } ->
+      Option.map (fun h -> S.diff h fin) (walk (S.union protected fin) held c.c_rhs)
     | _ ->
-      (* Thunk is an ident or partial application: it may raise, but the
-         finalizer's unlocks are covered. *)
-      let exposed = S.diff (unprotected held protected) fin_unlocks in
-      if not (S.is_empty exposed) then
-        report ctx ~rule:"R6" ~loc
-          "Fun.protect body can raise while %s is held and the finalizer does not release \
-           it"
-          (held_str exposed);
-      Some (S.diff held fin_unlocks)
+      (* The body is an ident or a partial application: it may raise
+         (a local helper unless its summary says otherwise), but the
+         finalizer's releases are covered. *)
+      let body = Option.bind thunk helper in
+      let held = match body with Some s -> S.diff held s.s_releases | None -> held in
+      if Option.fold ~none:true ~some:(fun s -> s.s_may_raise) body then
+        exit_point loc Protect_body held (S.union protected fin);
+      Some (S.diff held fin)
   in
-  match walk S.empty S.empty vb.vb_expr with
-  | Some h when not (S.is_empty h) ->
-    report ctx ~rule:"R6" ~loc:vb.vb_loc
-      "%s is still held when %s finishes evaluating; release on every path"
-      (String.concat ", " (S.elements h))
-      (binding_name vb)
-  | _ -> ()
+  (match vb.vb_expr.exp_desc with
+  | Texp_function _ -> lambda_body S.empty S.empty vb.vb_expr
+  | _ -> (
+    match walk S.empty S.empty vb.vb_expr with
+    | Some h when not (S.is_empty h) -> rule.report ctx vb.vb_loc (Finishes (binding_name vb, h))
+    | _ -> ()));
+  ctx.findings
+
+(* ---------- R6: lock discipline ---------- *)
+
+(* Normalized spelling of a mutex expression, the lock identity of the
+   R6 state ([pool.mutex], [d.dq_mutex], a bare binding name...). *)
+let rec lock_name e =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> dotted (Callgraph.normalize p)
+  | Texp_field (b, _, ld) -> lock_name b ^ "." ^ ld.Types.lbl_name
+  | _ -> Printf.sprintf "<mutex@%d>" e.exp_loc.Location.loc_start.Lexing.pos_lnum
+
+let held_str held = String.concat ", " (S.elements held)
+
+let deque_note held =
+  if S.exists (fun h -> has_substring h "dq_") held then " (a deque mutex: stealers spin on it)"
+  else ""
+
+let r6_head ctx loc ~protected held comps args =
+  let emit fmt = emit ctx ~rule:"R6" ~loc fmt in
+  match (comps, args) with
+  | [ "Mutex"; "lock" ], m :: _ ->
+    let name = lock_name m in
+    if S.mem name held then begin
+      emit "double lock of %s: it is already held on this path" name;
+      Moves held
+    end
+    else begin
+      if not (S.is_empty held) then
+        emit
+          "acquiring %s while already holding %s%s; nested acquisition blocks other domains \
+           and risks deadlock"
+          name (held_str held) (deque_note held);
+      Moves (S.add name held)
+    end
+  | [ "Mutex"; "unlock" ], m :: _ -> Moves (S.remove (lock_name m) held)
+  | [ "Condition"; "wait" ], [ _; m ] ->
+    let name = lock_name m in
+    if not (S.mem name held) then
+      emit
+        "Condition.wait on %s which is not held on this path; wait must be called with the \
+         mutex locked"
+        name;
+    let others = S.remove name held in
+    let exposed = S.diff others protected in
+    if not (S.is_empty exposed) then
+      emit "Condition.wait parks the domain while still holding %s%s" (held_str exposed)
+        (deque_note others);
+    Moves held
+  | _ -> Ordinary
+
+let unlocks_in e =
+  let acc = ref S.empty in
+  iter_exprs e ~f:(fun e ->
+      match e.exp_desc with
+      | Texp_apply (f, args) -> (
+        match (head_of f, List.filter_map snd args) with
+        | Some (_, [ "Mutex"; "unlock" ]), m :: _ -> acc := S.add (lock_name m) !acc
+        | _ -> ())
+      | _ -> ());
+  !acc
+
+let r6_report ctx loc event =
+  let emit fmt = emit ctx ~rule:"R6" ~loc fmt in
+  match event with
+  | Exposed (Partial_match, h) ->
+    emit
+      "partial match can raise Match_failure while %s is held; make the match total or release \
+       first"
+      (held_str h)
+  | Exposed (Assert, h) ->
+    emit "assert can raise Assert_failure while %s is held; release first or use Fun.protect"
+      (held_str h)
+  | Exposed (Binding_operator, h) ->
+    emit
+      "binding operator can short-circuit while %s is held; release before the let* chain or \
+       use Fun.protect"
+      (held_str h)
+  | Exposed (Raise _, h) ->
+    emit "raising while %s is held leaks the lock; release first or use Fun.protect" (held_str h)
+  | Exposed (Call comps, h) when blocking_head comps ->
+    emit "blocking call %s while holding %s%s" (dotted comps) (held_str h) (deque_note h)
+  | Exposed (Call comps, h) ->
+    emit
+      "call to %s can raise while %s is held, leaking the lock; release first or use \
+       Fun.protect"
+      (dotted comps) (held_str h)
+  | Exposed (Protect_body, h) ->
+    emit "Fun.protect body can raise while %s is held and the finalizer does not release it"
+      (held_str h)
+  | Diverges h ->
+    emit
+      "%s held on some paths out of this branch but not others; every path must release the \
+       same locks"
+      (held_str h)
+  | Unbalanced (before, after) ->
+    emit "lock state changes across a loop iteration (%s vs %s); each iteration must be balanced"
+      (held_str before) (held_str after)
+  | Returns h ->
+    emit "%s is still held when this function returns; release on every path or use Fun.protect"
+      (held_str h)
+  | Finishes (name, h) ->
+    emit "%s is still held when %s finishes evaluating; release on every path" (held_str h) name
+  | Leaks _ | Unclosed _ -> () (* R6 binds no resources *)
+
+let r6 =
+  {
+    id = "R6";
+    acquires = (fun _ -> None);
+    head = r6_head;
+    releases_in = unlocks_in;
+    join = S.inter;
+    report = r6_report;
+  }
 
 (* ---------- R7: resource lifetime ---------- *)
 
@@ -548,312 +607,122 @@ let open_kind comps =
   | [ ("open_out" | "open_out_bin" | "open_out_gen") ] -> Some "output channel"
   | _ -> None
 
-(* [let fds = Array.init n (fun i -> ...Unix.openfile...)] - the
-   campaign's fd-per-shard pattern.  The resource is the whole array;
-   the open location reported is the openfile call inside the lambda. *)
-let aggregate_open e =
-  match e.exp_desc with
-  | Texp_apply (f, args) -> (
-    match (head_of f, List.filter_map snd args) with
-    | Some (_, [ "Array"; "init" ]), [ _; { exp_desc = Texp_function { cases = [ c ]; _ }; _ } ]
+let close_head = function
+  | [ "Unix"; "close" ]
+  | [ ("close_in" | "close_out" | "close_in_noerr" | "close_out_noerr") ]
+  | [ "In_channel"; "close" ]
+  | [ "Out_channel"; ("close" | "close_noerr") ] -> true
+  | _ -> false
+
+(* What an expression closes: the idents it passes to a close function,
+   and the fd arrays it hands to [Array.iter] with a closer - a close
+   function itself ([Array.iter Unix.close fds]) or a per-element
+   wrapper lambda that closes. *)
+let rec closes_in e =
+  let acc = ref S.empty in
+  iter_exprs e ~f:(fun e ->
+      match e.exp_desc with
+      | Texp_apply (f, args) -> (
+        match (head_of f, List.filter_map snd args) with
+        | Some (_, comps), { exp_desc = Texp_ident (Path.Pident id, _, _); _ } :: _
+          when close_head comps ->
+          acc := S.add (Ident.unique_name id) !acc
+        | ( Some (_, [ "Array"; "iter" ]),
+            [ closer; { exp_desc = Texp_ident (Path.Pident id, _, _); _ } ] )
+          when closer_closes closer ->
+          acc := S.add (Ident.unique_name id) !acc
+        | _ -> ())
+      | _ -> ());
+  !acc
+
+and closer_closes c =
+  (match head_of c with Some (_, comps) -> close_head comps | None -> false)
+  || (is_function c && not (S.is_empty (closes_in c)))
+
+(* The open a let binding makes, if any: a single ident bound to an
+   open call; the campaign's fd-per-shard [Array.init n (fun i ->
+   ...Unix.openfile...)], whose resource is the whole array, reported
+   at the openfile inside the lambda; or the fd of a [Unix.accept]
+   pair. *)
+let r7_acquires vb =
+  let open_at e =
+    match e.exp_desc with
+    | Texp_apply (f, _) -> (
+      match head_of f with
+      | Some (_, comps) -> Option.map (fun kind -> (kind, e.exp_loc)) (open_kind comps)
+      | None -> None)
+    | _ -> None
+  in
+  let rec tail e =
+    match e.exp_desc with
+    | Texp_sequence (_, b) | Texp_let (_, _, b) | Texp_open (_, b) -> tail b
+    | _ -> Option.map snd (open_at e)
+  in
+  let resource id kind loc =
+    Some { r_key = Ident.unique_name id; r_name = Ident.name id; r_kind = kind; r_open = loc }
+  in
+  match (value_pat_idents vb.vb_pat, vb.vb_expr.exp_desc) with
+  | [ id ], Texp_apply (f, args) -> (
+    match (open_at vb.vb_expr, head_of f, List.filter_map snd args) with
+    | Some (kind, loc), _, _ -> resource id kind loc
+    | None, Some (_, [ "Array"; "init" ]), [ _; { exp_desc = Texp_function { cases = [ c ]; _ }; _ } ]
       ->
-      let rec tail e =
-        match e.exp_desc with
-        | Texp_sequence (_, b) | Texp_let (_, _, b) | Texp_open (_, b) -> tail b
-        | Texp_apply (f, _) -> (
-          match head_of f with
-          | Some (_, comps) when open_kind comps <> None -> Some e.exp_loc
-          | _ -> None)
-        | _ -> None
-      in
-      tail c.c_rhs
+      Option.bind (tail c.c_rhs) (resource id "file descriptors")
+    | _ -> None)
+  | [], Texp_apply (f, _) -> (
+    match (vb.vb_pat.pat_desc, head_of f) with
+    | Tpat_tuple ({ pat_desc = Tpat_var (id, _); _ } :: _), Some (_, [ "Unix"; "accept" ]) ->
+      resource id "accepted socket" vb.vb_expr.exp_loc
     | _ -> None)
   | _ -> None
 
-let direct_open e =
-  match e.exp_desc with
-  | Texp_apply (f, args) when args <> [] -> (
-    match head_of f with
-    | Some (_, comps) -> (
-      match open_kind comps with Some k -> Some (k, e.exp_loc) | None -> None)
-    | None -> None)
-  | _ -> None
+let r7_head ctx _ ~protected:_ held comps args =
+  match (comps, args) with
+  | comps, a :: _ when close_head comps -> (
+    match tracked_key ctx a with Some r -> Moves (S.remove r held) | None -> Never_raises)
+  | [ "Array"; "iter" ], [ closer; a ] when closer_closes closer -> (
+    match tracked_key ctx a with Some r -> Moves (S.remove r held) | None -> Ordinary)
+  | _ -> Ordinary
 
-(* [let fd, _addr = Unix.accept ...] - the accepted socket arrives as
-   the first component of a pair, so the single-ident resource match
-   misses it; the fd ident is the resource. *)
-let accept_open e =
-  match e.exp_desc with
-  | Texp_apply (f, args) when args <> [] -> (
-    match head_of f with
-    | Some (_, [ "Unix"; "accept" ]) -> Some e.exp_loc
-    | Some _ | None -> None)
-  | _ -> None
-
-let tuple_fd_pat (p : pattern) =
-  match p.pat_desc with
-  | Tpat_tuple ({ pat_desc = Tpat_var (id, _); _ } :: _) -> Some id
-  | _ -> None
-
-(* Track every let-bound open to a close on all paths.  The per-path
-   state is the set of open resources; [escaped] resources (returned,
-   stored in a structure, captured by a lambda handed to unknown code)
-   leave the analysis silently - their lifetime belongs to the
-   surrounding protocol.  A call that can raise while an unprotected
-   resource is open records a leak against that resource; the report is
-   anchored at the open so the fix site is obvious. *)
-let r7_check_binding ctx vb =
-  let locals : (string, lsum) Hashtbl.t = Hashtbl.create 8 in
-  let res_info : (string, string * string * Location.t) Hashtbl.t = Hashtbl.create 8 in
-  let escaped = ref S.empty in
-  let leaks : (string, string * int) Hashtbl.t = Hashtbl.create 8 in
-  let tracked id = Hashtbl.mem res_info (Ident.unique_name id) in
-  let escape id = escaped := S.add (Ident.unique_name id) !escaped in
-  let escape_scan e =
-    iter_exprs e ~f:(fun e ->
-        match e.exp_desc with
-        | Texp_ident (Path.Pident id, _, _) when tracked id -> escape id
-        | _ -> ())
-  in
-  let exposed open_ protected = S.diff (S.diff open_ protected) !escaped in
-  let record_leaks set ~callee ~line =
-    S.iter (fun r -> if not (Hashtbl.mem leaks r) then Hashtbl.add leaks r (callee, line)) set
-  in
-  let rec walk protected open_ e : S.t option =
-    let loc = e.exp_loc in
-    match e.exp_desc with
-    | Texp_ident (Path.Pident id, _, _) when tracked id ->
-      escape id;
-      Some open_
-    | Texp_ident _ | Texp_constant _ | Texp_instvar _ | Texp_extension_constructor _ ->
-      Some open_
-    | Texp_unreachable -> None
-    | Texp_let (_, vbs, body) ->
-      let introduced = ref [] in
-      let after =
-        List.fold_left
-          (fun acc vb ->
-            match acc with
-            | None -> None
-            | Some o ->
-              if is_function vb.vb_expr then begin
-                summarize ~locals (binding_name vb) vb.vb_expr;
-                Some o
-              end
-              else begin
-                let resource =
-                  match value_pat_idents vb.vb_pat with
-                  | [ id ] -> (
-                    match direct_open vb.vb_expr with
-                    | Some (kind, oloc) -> Some (id, kind, oloc)
-                    | None -> (
-                      match aggregate_open vb.vb_expr with
-                      | Some oloc -> Some (id, "file descriptors", oloc)
-                      | None -> None))
-                  | _ -> (
-                    match (tuple_fd_pat vb.vb_pat, accept_open vb.vb_expr) with
-                    | Some id, Some oloc -> Some (id, "accepted socket", oloc)
-                    | _ -> None)
-                in
-                let o' = walk protected o vb.vb_expr in
-                match o' with
-                | None -> None
-                | Some o' -> (
-                  match resource with
-                  | Some (id, kind, oloc) ->
-                    let r = Ident.unique_name id in
-                    Hashtbl.replace res_info r (Ident.name id, kind, oloc);
-                    introduced := r :: !introduced;
-                    Some (S.add r o')
-                  | None -> Some o')
-              end)
-          (Some open_) vbs
-      in
-      let result = match after with None -> None | Some o -> walk protected o body in
-      List.iter
+(* A leak is recorded at the first raise point that exposes the
+   resource and reported at the open, where the fix goes. *)
+let r7_report ctx loc event =
+  match event with
+  | Exposed (cause, exposed) -> (
+    let callee =
+      match cause with
+      | Partial_match -> None
+      | Assert -> Some "assert"
+      | Binding_operator -> Some "the binding operator (it can short-circuit)"
+      | Raise comps | Call comps -> Some (dotted comps)
+      | Protect_body -> Some "the Fun.protect body"
+    in
+    match callee with
+    | Some callee ->
+      S.iter
         (fun r ->
-          if not (S.mem r !escaped) then
-            match Hashtbl.find_opt res_info r with
-            | None -> ()
-            | Some (name, kind, oloc) -> (
-              match Hashtbl.find_opt leaks r with
-              | Some (callee, lline) ->
-                report ctx ~rule:"R7" ~loc:oloc
-                  "%s %s leaks if %s (line %d) raises before the close; close it from a \
-                   Fun.protect finalizer or use a with_open_* combinator"
-                  kind name callee lline
-              | None -> (
-                match result with
-                | Some o when S.mem r o ->
-                  report ctx ~rule:"R7" ~loc:oloc
-                    "%s %s is not closed on every path to the end of its scope" kind name
-                | _ -> ())))
-        (List.rev !introduced);
-      (match result with
-      | None -> None
-      | Some o -> Some (List.fold_left (fun o r -> S.remove r o) o !introduced))
-    | Texp_function _ ->
-      escape_scan e;
-      Some open_
-    | Texp_apply (f, args) -> apply protected open_ loc f args
-    | Texp_match (scrut, cases, _) -> (
-      match walk protected open_ scrut with
-      | None -> None
-      | Some o -> merge (List.map (fun c -> walk_case protected o c) cases))
-    | Texp_try (body, handlers) ->
-      let rb = walk protected open_ body in
-      merge (rb :: List.map (fun c -> walk_case protected open_ c) handlers)
-    | Texp_ifthenelse (c, t, eo) -> (
-      match walk protected open_ c with
-      | None -> None
-      | Some o ->
-        let rt = walk protected o t in
-        let re = match eo with Some e -> walk protected o e | None -> Some o in
-        merge [ rt; re ])
-    | Texp_sequence (a, b) -> (
-      match walk protected open_ a with None -> None | Some o -> walk protected o b)
-    | Texp_while (c, body) ->
-      (match walk protected open_ c with
-      | None -> ()
-      | Some o -> ignore (walk protected o body));
-      Some open_
-    | Texp_for (_, _, lo, hi, _, body) ->
-      (match walk protected open_ lo with
-      | None -> ()
-      | Some o -> (
-        match walk protected o hi with
-        | None -> ()
-        | Some o2 -> ignore (walk protected o2 body)));
-      Some open_
-    | Texp_assert (cond, _) when is_false_construct cond -> None
-    | Texp_assert (cond, _) ->
-      let ex = exposed open_ protected in
-      if not (S.is_empty ex) then record_leaks ex ~callee:"assert" ~line:(line_of loc);
-      walk protected open_ cond
-    | Texp_tuple es | Texp_array es -> walk_list protected open_ es
-    | Texp_construct (_, _, es) -> walk_list protected open_ es
-    | Texp_variant (_, eo) -> (
-      match eo with Some e -> walk protected open_ e | None -> Some open_)
-    | Texp_record { fields; extended_expression; _ } ->
-      walk_list protected open_ (record_parts extended_expression fields)
-    | Texp_field (b, _, _) -> walk protected open_ b
-    | Texp_setfield (b, _, _, v) -> (
-      match walk protected open_ b with None -> None | Some o -> walk protected o v)
-    | Texp_lazy _ ->
-      escape_scan e;
-      Some open_
-    | Texp_letmodule (_, _, _, _, body) | Texp_letexception (_, body) | Texp_open (_, body) ->
-      walk protected open_ body
-    | Texp_letop { let_; ands; body; _ } ->
-      let after =
-        List.fold_left
-          (fun acc bop ->
-            match acc with None -> None | Some o -> walk protected o bop.bop_exp)
-          (Some open_) (let_ :: ands)
-      in
-      (match after with
-      | None -> None
-      | Some o ->
-        let ex = exposed o protected in
-        if not (S.is_empty ex) then
-          record_leaks ex ~callee:"the binding operator (it can short-circuit)"
-            ~line:(line_of loc);
-        walk protected o body.c_rhs)
-    | _ -> Some open_
-  and walk_case : type k. S.t -> S.t -> k case -> S.t option =
-   fun protected open_ c ->
-    let after_guard =
-      match c.c_guard with Some g -> walk protected open_ g | None -> Some open_
-    in
-    (match after_guard with None -> None | Some o -> walk protected o c.c_rhs)
-  and walk_list protected open_ es =
-    List.fold_left
-      (fun acc e -> match acc with None -> None | Some o -> walk protected o e)
-      (Some open_) es
-  and merge results =
-    match List.filter_map Fun.id results with
-    | [] -> None
-    | first :: rest -> Some (List.fold_left S.union first rest)
-  and apply protected open_ loc f args =
-    let arg_exprs = List.filter_map snd args in
-    match head_of f with
-    | None -> walk_list protected open_ (f :: arg_exprs)
-    | Some (p, comps) -> (
-      match (comps, arg_exprs) with
-      | comps, { exp_desc = Texp_ident (Path.Pident id, _, _); _ } :: _
-        when close_head comps && tracked id ->
-        Some (S.remove (Ident.unique_name id) open_)
-      | [ "Array"; "iter" ], [ closer; { exp_desc = Texp_ident (Path.Pident id, _, _); _ } ]
-        when tracked id && closer_closes closer ->
-        Some (S.remove (Ident.unique_name id) open_)
-      | [ "Fun"; "protect" ], _ -> fun_protect protected open_ loc args
-      | comps, _ ->
-        List.iter
-          (fun a ->
-            if is_function a then
-              if inline_combinator comps then
-                (* Descend through currying: [List.iteri (fun i x -> ...)]
-                   nests a second Texp_function whose body must still run
-                   inline, not count as a capture. *)
-                let rec inline e =
-                  match e.exp_desc with
-                  | Texp_function { cases; _ } -> List.iter (fun c -> inline c.c_rhs) cases
-                  | _ -> ignore (walk protected open_ e)
-                in
-                inline a
-              else escape_scan a)
-          arg_exprs;
-        let after =
-          walk_list protected open_
-            (List.filter
-               (fun a ->
-                 (not (is_function a))
-                 &&
-                 match a.exp_desc with
-                 | Texp_ident (Path.Pident id, _, _) -> not (tracked id)
-                 | _ -> true)
-               arg_exprs)
-        in
-        (match after with
-        | None -> None
-        | Some o ->
-          let may_raise =
-            (not (close_head comps)) && app_may_raise ~locals p comps arg_exprs
-          in
-          if may_raise then begin
-            let ex = exposed o protected in
-            if not (S.is_empty ex) then
-              record_leaks ex ~callee:(dotted comps) ~line:(line_of loc)
-          end;
-          if is_raise_head comps then None else Some o))
-  and fun_protect protected open_ loc args =
-    let finally, thunk = protect_args args in
-    let fin_closes =
-      match finally with
-      | Some { exp_desc = Texp_ident (Path.Pident id, _, _); _ } -> (
-        match Hashtbl.find_opt locals (Ident.name id) with
-        | Some s -> s.s_closes
-        | None -> S.empty)
-      | Some fe -> closes_full fe
-      | None -> S.empty
-    in
-    match thunk with
-    | Some { exp_desc = Texp_function { cases = [ c ]; _ }; _ } -> (
-      match walk (S.union protected fin_closes) open_ c.c_rhs with
-      | None -> None
-      | Some o -> Some (S.diff o fin_closes))
-    | _ ->
-      let ex = S.diff (exposed open_ protected) fin_closes in
-      if not (S.is_empty ex) then
-        record_leaks ex ~callee:"the Fun.protect body" ~line:(line_of loc);
-      Some (S.diff open_ fin_closes)
-  in
-  let rec analyze_root e =
-    match e.exp_desc with
-    | Texp_function { cases; _ } -> List.iter (fun c -> analyze_root c.c_rhs) cases
-    | _ -> ignore (walk S.empty S.empty e)
-  in
-  analyze_root vb.vb_expr
+          if not (Hashtbl.mem ctx.leaks r) then Hashtbl.add ctx.leaks r (callee, line_of loc))
+        exposed
+    | None -> ())
+  | Leaks (r, callee, line) ->
+    emit ctx ~rule:"R7" ~loc
+      "%s %s leaks if %s (line %d) raises before the close; close it from a Fun.protect \
+       finalizer or use a with_open_* combinator"
+      r.r_kind r.r_name callee line
+  | Unclosed r ->
+    emit ctx ~rule:"R7" ~loc "%s %s is not closed on every path to the end of its scope" r.r_kind
+      r.r_name
+  | Diverges _ | Unbalanced _ | Returns _ | Finishes _ -> ()
+
+let r7 =
+  {
+    id = "R7";
+    acquires = r7_acquires;
+    head = r7_head;
+    releases_in = closes_in;
+    join = S.union;
+    report = r7_report;
+  }
 
 (* ---------- R1': interprocedural determinism taint ---------- *)
 
@@ -972,12 +841,10 @@ let analyze (typed : Typed_load.typed_file list) : report =
     List.concat_map
       (fun { Typed_load.file; structure } ->
         List.map
-          (fun (rule, check) ->
-            Rules.gate rule ~file (fun () ->
-                let ctx = { file; findings = [] } in
-                List.iter (check ctx) (Checks.structure_roots structure);
-                ctx.findings))
-          [ ("R6", r6_check_binding); ("R7", r7_check_binding) ])
+          (fun rule ->
+            Rules.gate rule.id ~file (fun () ->
+                List.concat_map (check rule ~file) (Checks.structure_roots structure)))
+          [ r6; r7 ])
       typed
   in
   {

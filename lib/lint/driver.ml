@@ -2,7 +2,6 @@ type report = {
   findings : Finding.t list;
   files_scanned : int;
   files_typed : int;
-  suppressed : int;
 }
 
 (* ---------- file walking ---------- *)
@@ -76,35 +75,9 @@ let a0_findings ~used ~files =
         meta.Rules.allow)
     Rules.all
 
-(* ---------- B0: stale baseline entries ---------- *)
-
-(* A baseline entry that matches no current raw finding is grandfather
-   debt that has been paid off; it must be deleted (or the run invoked
-   with --allow-stale while a transition is in flight). *)
-let b0_findings ~baseline ~raw =
-  List.filter_map
-    (fun (e : Baseline.entry) ->
-      if
-        List.exists
-          (fun (f : Finding.t) ->
-            e.Baseline.rule = f.Finding.rule
-            && e.Baseline.file = f.Finding.file
-            && e.Baseline.message = f.Finding.message)
-          raw
-      then None
-      else
-        Some
-          (Finding.make ~rule:"B0" ~severity:Finding.Error ~file:e.Baseline.file
-             ~loc:Location.none
-             (Printf.sprintf
-                "stale baseline entry: no current %s finding matches %S; delete the line (or \
-                 pass --allow-stale during a transition)"
-                e.Baseline.rule e.Baseline.message)))
-    baseline
-
 (* ---------- entry point ---------- *)
 
-let run ?(baseline = Baseline.empty) ?(allow_stale = false) ~root () =
+let run ~root =
   let files = source_files root in
   let ml_files = List.filter (String.ends_with ~suffix:".ml") files in
   let loaded = Typed_load.load ~root ~files:ml_files in
@@ -119,18 +92,15 @@ let run ?(baseline = Baseline.empty) ?(allow_stale = false) ~root () =
   let used =
     List.sort_uniq compare (semantic.Dataflow.allow_uses @ List.concat_map snd checked)
   in
-  let raw =
+  let findings =
     loaded.Typed_load.untyped @ List.concat_map fst checked @ semantic.Dataflow.findings
     @ r5_findings files
     @ a0_findings ~used ~files:(List.map (fun tf -> tf.Typed_load.file) typed)
   in
-  let keep, dropped = List.partition (fun f -> not (Baseline.mem baseline f)) raw in
-  let keep = if allow_stale then keep else keep @ b0_findings ~baseline ~raw in
   {
-    findings = List.sort Finding.compare keep;
+    findings = List.sort Finding.compare findings;
     files_scanned = List.length ml_files;
     files_typed = List.length typed;
-    suppressed = List.length dropped;
   }
 
 (* ---------- rendering ---------- *)
@@ -143,13 +113,11 @@ let render_human r =
       Buffer.add_char b '\n')
     r.findings;
   Buffer.add_string b
-    (Printf.sprintf "lint: %d file%s scanned (%d typed), %d finding%s%s\n" r.files_scanned
+    (Printf.sprintf "lint: %d file%s scanned (%d typed), %d finding%s\n" r.files_scanned
        (if r.files_scanned = 1 then "" else "s")
        r.files_typed
        (List.length r.findings)
-       (if List.length r.findings = 1 then "" else "s")
-       (if r.suppressed > 0 then Printf.sprintf " (%d suppressed by baseline)" r.suppressed
-        else ""));
+       (if List.length r.findings = 1 then "" else "s"));
   Buffer.contents b
 
 let render_json r =
@@ -161,8 +129,8 @@ let render_json r =
       Buffer.add_string b (Finding.to_json f))
     r.findings;
   Buffer.add_string b
-    (Printf.sprintf "],\"files_scanned\":%d,\"files_typed\":%d,\"suppressed\":%d}\n"
-       r.files_scanned r.files_typed r.suppressed);
+    (Printf.sprintf "],\"files_scanned\":%d,\"files_typed\":%d}\n" r.files_scanned
+       r.files_typed);
   Buffer.contents b
 
 (* Minimal SARIF 2.1.0: one run, the rule book as reportingDescriptors,
@@ -181,7 +149,6 @@ let render_sarif r =
         "the file does not parse, or it has no current .cmt and does not typecheck in \
          isolation" );
       ("A0", "unused allowlist entry", "an allowlist entry suppressed nothing in this scan");
-      ("B0", "stale baseline entry", "a baseline entry matches no current finding");
     ]
   in
   let descriptors =

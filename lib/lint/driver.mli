@@ -7,22 +7,17 @@
     - [P0]: a file with no typedtree - it does not parse, or it has no
       current [.cmt] and does not typecheck in isolation (the scan
       continues);
-    - [A0]: an allowlist entry that suppressed nothing in this scan;
-    - [B0]: a baseline entry matching no current finding (suppressed by
-      [~allow_stale:true] during transitions). *)
+    - [A0]: an allowlist entry that suppressed nothing in this scan. *)
 
 type report = {
   findings : Finding.t list;  (** sorted by file, line, column *)
   files_scanned : int;
   files_typed : int;  (** sources with a typedtree (current cmt or in-process) *)
-  suppressed : int;  (** findings swallowed by the baseline *)
 }
 
-val run : ?baseline:Baseline.t -> ?allow_stale:bool -> root:string -> unit -> report
+val run : root:string -> report
 (** Scan the tree rooted at [root].  A file with no typedtree yields a
-    single [P0] finding rather than aborting the scan.  [allow_stale]
-    (default [false]) suppresses [B0] findings for stale baseline
-    entries. *)
+    single [P0] finding rather than aborting the scan. *)
 
 val render_human : report -> string
 (** One [file:line:col: severity[RULE]: message] line per finding plus a

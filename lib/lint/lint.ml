@@ -5,7 +5,6 @@
 module Finding = Finding
 module Rules = Rules
 module Checks = Checks
-module Baseline = Baseline
 module Typed_load = Typed_load
 module Callgraph = Callgraph
 module Dataflow = Dataflow

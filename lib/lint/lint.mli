@@ -38,15 +38,13 @@
       reaches a close on every path; raising while a descriptor is open
       and unprotected is a leak.
 
-    Unused allowlist entries are reported as [A0], stale baseline
-    entries as [B0].  Scoping, allowlists (with justifications), and
-    the baseline mechanism are described in DESIGN.md paragraphs 10 and
-    15. *)
+    Unused allowlist entries are reported as [A0]: the rule-book
+    allowlists are the one escape hatch.  Scoping and allowlists (with
+    justifications) are described in DESIGN.md paragraphs 10 and 15. *)
 
 module Finding = Finding
 module Rules = Rules
 module Checks = Checks
-module Baseline = Baseline
 module Typed_load = Typed_load
 module Callgraph = Callgraph
 module Dataflow = Dataflow

@@ -7,7 +7,7 @@ type scope =
   | Under of string list  (** only files under these path prefixes *)
 
 type meta = {
-  id : string;  (** stable id cited in diagnostics and baselines (["R1"]..["R7"]) *)
+  id : string;  (** stable id cited in diagnostics (["R1"]..["R7"]) *)
   title : string;
   rationale : string;
   scope : scope;

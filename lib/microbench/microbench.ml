@@ -314,13 +314,15 @@ let run_server ?(quota = 0.5) ~exe () =
       (match Corpus.Campaign.run ~dir:corpus_dir ~max_n:5 () with
       | Ok _ -> ()
       | Error e -> invalid_arg ("Microbench.run_server: " ^ e));
-      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
       let pid =
-        Unix.create_process exe
-          [| exe; "serve"; "-s"; sock; "--corpus"; corpus_dir; "--cache"; "1024" |]
-          null null Unix.stderr
+        let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close null)
+          (fun () ->
+            Unix.create_process exe
+              [| exe; "serve"; "-s"; sock; "--corpus"; corpus_dir; "--cache"; "1024" |]
+              null null Unix.stderr)
       in
-      Unix.close null;
       (* The socket file appearing means bind has happened; a successful
          probe connect means listen has too. *)
       let rec await n =
@@ -328,13 +330,12 @@ let run_server ?(quota = 0.5) ~exe () =
           Sys.file_exists sock
           &&
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_UNIX sock) with
-          | () ->
-            Unix.close fd;
-            true
-          | exception Unix.Unix_error _ ->
-            Unix.close fd;
-            false
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              match Unix.connect fd (Unix.ADDR_UNIX sock) with
+              | () -> true
+              | exception Unix.Unix_error _ -> false)
         in
         if ready then ()
         else if n = 0 then invalid_arg "Microbench.run_server: server did not come up"

@@ -24,7 +24,6 @@ type 'a t = {
   injected : (unit -> unit) Queue.t;
   dirties : 'a conn Queue.t;
   idle_timeout : float;
-  max_out_bytes : int;
   mutable accepting : bool;
   mutable stopping : bool;
   mutable deadline : float;
@@ -53,8 +52,13 @@ let sorted_conns t =
   Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
   |> List.sort (fun a b -> compare a.cfd b.cfd)
 
-let create ?(idle_timeout = 0.) ?(max_out_bytes = 1 lsl 20) ~listen ~handlers
-    () =
+(* Per-connection output high-watermark: above it, reads are paused. *)
+let max_out_bytes = 1 lsl 20
+
+(* How long [shutdown] lets connections drain before force-closing. *)
+let shutdown_grace_s = 5.0
+
+let create ?(idle_timeout = 0.) ~listen ~handlers () =
   (* A peer that vanishes with replies still queued must surface as
      EPIPE on the writev ([flush_out] closes the connection), not as a
      process-killing SIGPIPE. *)
@@ -78,7 +82,6 @@ let create ?(idle_timeout = 0.) ?(max_out_bytes = 1 lsl 20) ~listen ~handlers
     injected = Queue.create ();
     dirties = Queue.create ();
     idle_timeout;
-    max_out_bytes;
     accepting = true;
     stopping = false;
     deadline = infinity;
@@ -104,7 +107,7 @@ let close_conn t c =
 let update_interest t c =
   if not c.closed then begin
     let want_w = c.out_bytes > 0 in
-    let want_r = (not c.drain_close) && c.out_bytes < t.max_out_bytes in
+    let want_r = (not c.drain_close) && c.out_bytes < max_out_bytes in
     if want_r <> c.reg_read || want_w <> c.reg_write then begin
       Epoll.modify t.ep c.cfd ~read:want_r ~write:want_w;
       c.reg_read <- want_r;
@@ -323,12 +326,12 @@ let sweep t now_ =
         if now_ -. c.last_activity > t.idle_timeout then close_conn t c)
       (sorted_conns t)
 
-let shutdown ?(grace = 5.0) t =
+let shutdown t =
   if not t.stopping then begin
     t.stopping <- true;
     t.accepting <- false;
     (try Epoll.remove t.ep t.listen with Unix.Unix_error _ -> ());
-    t.deadline <- now () +. grace;
+    t.deadline <- now () +. shutdown_grace_s;
     List.iter (fun c -> close_when_drained t c) (sorted_conns t)
   end
 

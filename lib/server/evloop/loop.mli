@@ -16,11 +16,10 @@
                    +------------- drained / partial ---------------+
     v}
 
-    Backpressure: a connection whose output queue exceeds
-    [max_out_bytes] has its read interest suspended until the queue
-    drains below the watermark, so a slow reader cannot balloon server
-    memory.  Write interest is flipped on only while the queue is
-    non-empty. *)
+    Backpressure: a connection whose output queue exceeds 1 MiB has
+    its read interest suspended until the queue drains below that
+    watermark, so a slow reader cannot balloon server memory.  Write
+    interest is flipped on only while the queue is non-empty. *)
 
 type 'a t
 (** A loop whose connections carry caller state of type ['a]. *)
@@ -40,25 +39,19 @@ type 'a handlers = {
 }
 
 val create :
-  ?idle_timeout:float ->
-  ?max_out_bytes:int ->
-  listen:Unix.file_descr ->
-  handlers:'a handlers ->
-  unit ->
-  'a t
+  ?idle_timeout:float -> listen:Unix.file_descr -> handlers:'a handlers -> unit -> 'a t
 (** [idle_timeout] (seconds; 0 = disabled, the default) closes
-    connections with no inbound traffic for that long.
-    [max_out_bytes] (default 1 MiB) is the per-connection output
-    high-watermark.  [listen] must be a bound, listening socket; the
-    loop sets it non-blocking and closes it when {!run} returns. *)
+    connections with no inbound traffic for that long.  [listen] must
+    be a bound, listening socket; the loop sets it non-blocking and
+    closes it when {!run} returns. *)
 
 val run : 'a t -> unit
 (** Serve until {!shutdown} completes.  Closes the listener, the epoll
     fd and any remaining connections before returning. *)
 
-val shutdown : ?grace:float -> 'a t -> unit
+val shutdown : 'a t -> unit
 (** Stop accepting, let queued output drain, then stop.  Connections
-    still open after [grace] seconds (default 5) are force-closed.
+    still open after 5 seconds are force-closed.
     Loop-thread only (use {!inject} from elsewhere). *)
 
 val inject : 'a t -> (unit -> unit) -> unit

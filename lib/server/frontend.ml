@@ -172,11 +172,22 @@ let render_binary ids resps =
     ids resps;
   Buffer.contents buf
 
+(* A listening Unix-domain socket at [path], closed again if bind or
+   listen fails; on success the event loop owns it. *)
+let listen_unix path =
+  let srv = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let listening = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !listening then Unix.close srv)
+    (fun () ->
+      Unix.bind srv (Unix.ADDR_UNIX path);
+      Unix.listen srv 1024;
+      listening := true);
+  srv
+
 let serve_unix ?(idle_timeout = 0.) engine ~path =
   if Sys.file_exists path then Sys.remove path;
-  let srv = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind srv (Unix.ADDR_UNIX path);
-  Unix.listen srv 1024;
+  let srv = listen_unix path in
   let bridge = Bridge.create () in
   let fast_hits = Atomic.make 0 in
   let corpus = Engine.corpus engine in

@@ -708,9 +708,3 @@ let cover_region ~region ~prototile ?torus ?(max_solutions = 64) ?keep () =
       ~collect:true ()
   in
   List.map to_translations sols
-
-let exactness ?torus_factors p =
-  match Boundary_word.classify p with
-  | Factorized _ -> `Exact
-  | Refuted _ -> `NotExact
-  | Not_applicable -> if find_tiling ?torus_factors p <> None then `Exact else `Unknown

@@ -9,14 +9,14 @@
       finding every periodic tiling with that period (including
       multi-prototile and non-lattice ones, e.g. the S/Z mix of
       Figure 5).
-    - {!exactness}: the decision procedure. For 4-connected 2-D tiles
-      the hole test plus the Beauquier-Nivat criterion is complete
-      (together with Wijshoff-van Leeuwen's periodicity theorem); for
-      arbitrary prototiles we search periods up to a bounded index
-      multiple and report [`Unknown] on exhaustion - the general problem
-      is open, and even prime-size prototiles can require non-lattice
-      translation sets (e.g. [{0, 2}] in [Z] tiles only with
-      [T = {0,1} + 4Z]).
+    - {!find_tiling}: the search half of deciding exactness.  For
+      4-connected 2-D tiles {!Lattice.Boundary_word.classify} (the hole
+      test plus the Beauquier-Nivat criterion, with Wijshoff-van
+      Leeuwen's periodicity theorem) is complete; for arbitrary
+      prototiles we search periods up to a bounded index multiple and
+      give up on exhaustion - the general problem is open, and even
+      prime-size prototiles can require non-lattice translation sets
+      (e.g. [{0, 2}] in [Z] tiles only with [T = {0,1} + 4Z]).
 
     {!cover_torus}, {!count_torus_covers}, {!distinct_torus_covers} and
     {!cover_region} share one exact-cover kernel: word-parallel
@@ -188,14 +188,6 @@ val find_tiling :
     each torus period; an exception it raises aborts the search and
     propagates - the schedule server's wall-clock deadline is the one
     use. *)
-
-val exactness :
-  ?torus_factors:int list ->
-  Lattice.Prototile.t ->
-  [ `Exact | `NotExact | `Unknown ]
-(** {!Lattice.Boundary_word.classify} where it applies - complete for
-    every 4-connected 2-D tile, holes included ([`NotExact]); otherwise
-    {!find_tiling}, which answers [`Exact] or, on exhaustion, [`Unknown]. *)
 
 val find_respectable :
   ?torus_factors:int list ->

@@ -69,24 +69,21 @@ let test_campaign_counts_and_skip () =
       Alcotest.(check int) "all six bands skipped" 6 r2.Campaign.skipped_bands;
       check_bands_to_6 r2.Campaign.bands)
 
-(* The shard count is part of a corpus's layout: leaving it out resumes
-   with the corpus's own count, and naming a different one - the old
-   default 8 included - is refused before anything is written. *)
-let test_explicit_shards_must_match () =
-  with_temp_dir (fun dir ->
-      let r = ok_or_fail (Campaign.run ~shards:4 ~dir ~max_n:3 ()) in
-      Alcotest.(check int) "built with 4 shards" 4 r.Campaign.shards;
-      let manifest () = read_file (Filename.concat dir Layout.manifest_name) in
-      let before = manifest () in
-      (match Campaign.run ~shards:8 ~dir ~max_n:4 () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "an explicit 8 against a 4-shard corpus must be refused");
-      Alcotest.(check string) "refused run left the manifest alone" before (manifest ());
-      let r = ok_or_fail (Campaign.run ~dir ~max_n:4 ()) in
-      Alcotest.(check int) "absent shards resumes with the corpus's count" 4 r.Campaign.shards;
-      Alcotest.(check int) "resumed past three bands" 3 r.Campaign.skipped_bands;
-      let r = ok_or_fail (Campaign.run ~shards:4 ~dir ~max_n:4 ()) in
-      Alcotest.(check int) "a matching explicit count is accepted" 4 r.Campaign.shards)
+(* The shard count is part of a corpus's layout: a new corpus gets 8,
+   and a resumed one keeps whatever its manifest records. *)
+let test_resume_keeps_manifest_shards () =
+  with_temp_dir (fun fresh ->
+      with_temp_dir (fun four ->
+          Alcotest.(check int) "a new corpus has 8 shards" 8
+            (ok_or_fail (Campaign.run ~dir:fresh ~max_n:3 ())).Campaign.shards;
+          Unix.mkdir four 0o755;
+          Out_channel.with_open_bin (Filename.concat four Layout.manifest_name) (fun oc ->
+              Out_channel.output_string oc
+                (Layout.manifest_to_string { Layout.shards = 4; sealed = false; bands = [] }));
+          let r = ok_or_fail (Campaign.run ~dir:four ~max_n:3 ()) in
+          Alcotest.(check int) "resumed with the manifest's count" 4 r.Campaign.shards;
+          Alcotest.(check int) "every record re-proved" 4
+            (ok_or_fail (Snapshot.verify ~dir:four)).Snapshot.records))
 
 exception Kaboom
 
@@ -401,10 +398,10 @@ let () =
         [
           Alcotest.test_case "band counts; complete corpus skips" `Quick
             test_campaign_counts_and_skip;
+          Alcotest.test_case "resume keeps the manifest's shard count" `Quick
+            test_resume_keeps_manifest_shards;
           Alcotest.test_case "crash mid-band, resume byte-identical" `Quick
             test_crash_resume_byte_identical;
-          Alcotest.test_case "explicit shards must match the corpus" `Quick
-            test_explicit_shards_must_match;
         ] );
       ( "snapshot",
         [

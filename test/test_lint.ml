@@ -3,11 +3,11 @@
    R4 fsync-before-rename, R5 interface coverage, R6 lock discipline,
    R7 resource lifetime), constructs reached through [open] and module
    aliases, the interprocedural taint (R1 through call chains), the
-   call graph itself, unused-allowlist (A0) and stale-baseline (B0)
-   findings, P0 for files without a typedtree (parse failure, stale
-   cmt), a property test round-tripping the JSON and SARIF emitters,
-   and an end-to-end assertion that every file of the real repo tree is
-   typed and produces zero findings.  Fixture trees have no build
+   call graph itself, local helpers behaving like inline code (R6,
+   R7), unused-allowlist (A0) findings, P0 for files without a
+   typedtree (parse failure, stale cmt), a property test round-tripping
+   the JSON and SARIF emitters, and an end-to-end assertion that every
+   file of the real repo tree is typed and produces zero findings.  Fixture trees have no build
    artifacts, so the analyzer types them in-process. *)
 
 let mkdir_p path =
@@ -45,7 +45,7 @@ let with_tree files f =
         files;
       f root)
 
-let lint files = with_tree files (fun root -> Lint.run ~root ())
+let lint files = with_tree files (fun root -> Lint.run ~root)
 
 let by_rule rule (report : Lint.report) =
   List.filter (fun f -> f.Lint.Finding.rule = rule) report.Lint.findings
@@ -64,6 +64,15 @@ let contains ~needle hay =
   let n = String.length needle in
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
+
+(* Every finding of [rule], exactly, as (line, column, message). *)
+let expect_exact rule expected report =
+  Alcotest.(check (list (triple int int string)))
+    (rule ^ " findings") expected
+    (List.map (fun f -> Lint.Finding.(f.line, f.col, f.message)) (by_rule rule report))
+
+(* A one-module fixture tree: [dir/site.ml] and its interface. *)
+let site dir ml mli = [ (dir ^ "/site.ml", ml); (dir ^ "/site.mli", mli) ]
 
 (* ---------- R1: determinism ---------- *)
 
@@ -415,12 +424,13 @@ let test_r6_lock_leak_on_raise () =
         ("lib/parallel/guard.mli", "val with_lock : Mutex.t -> (unit -> 'a) -> 'a\n");
       ]
   in
-  check_rule_count "unprotected raise window" "R6" 1 report;
-  match by_rule "R6" report with
-  | [ f ] ->
-    Alcotest.(check bool) "names the raising call and the lock" true
-      (contains ~needle:"f can raise while m is held" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R6 finding"
+  expect_exact "R6"
+    [
+      ( 3,
+        10,
+        "call to f can raise while m is held, leaking the lock; release first or use Fun.protect" );
+    ]
+    report
 
 let test_r6_fun_protect_clean () =
   let report =
@@ -444,14 +454,149 @@ let test_r6_double_lock () =
         ("lib/parallel/twice.mli", "val twice : Mutex.t -> unit\n");
       ]
   in
-  check_rule_count "relocking a held mutex" "R6" 1 report;
-  match by_rule "R6" report with
-  | [ f ] ->
-    Alcotest.(check int) "at the second lock" 3 f.Lint.Finding.line;
-    Alcotest.(check bool) "calls it a double lock" true
-      (contains ~needle:"already held" f.Lint.Finding.message
-      || contains ~needle:"double" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R6 finding"
+  expect_exact "R6" [ (3, 2, "double lock of m: it is already held on this path") ] report
+
+(* One fixture per remaining R6 report site, each with its exact
+   diagnostic. *)
+let r6_sites =
+  let lib = site "lib/parallel" in
+  [
+    ( "partial match",
+      lib
+        "let pick m xs =\n\
+        \  Mutex.lock m;\n\
+        \  let r = match xs with x :: _ -> x in\n\
+        \  Mutex.unlock m;\n\
+        \  r\n"
+        "val pick : Mutex.t -> int list -> int\n",
+      [
+        ( 3,
+          10,
+          "partial match can raise Match_failure while m is held; make the match total or \
+           release first" );
+      ] );
+    ( "while imbalance",
+      lib
+        "let spin m n =\n\
+        \  let i = ref 0 in\n\
+        \  while !i < n do\n\
+        \    Mutex.lock m;\n\
+        \    incr i\n\
+        \  done\n"
+        "val spin : Mutex.t -> int -> unit\n",
+      [ (3, 2, "lock state changes across a loop iteration ( vs m); each iteration must be balanced") ]
+    );
+    ( "for imbalance",
+      lib
+        "let drain m n =\n\
+        \  Mutex.lock m;\n\
+        \  for _ = 1 to n do\n\
+        \    Mutex.unlock m\n\
+        \  done;\n\
+        \  Mutex.unlock m\n"
+        "val drain : Mutex.t -> int -> unit\n",
+      [ (3, 2, "lock state changes across a loop iteration (m vs ); each iteration must be balanced") ]
+    );
+    ( "assert",
+      lib
+        "let check m x =\n  Mutex.lock m;\n  assert (x > 0);\n  Mutex.unlock m\n"
+        "val check : Mutex.t -> int -> unit\n",
+      [ (3, 2, "assert can raise Assert_failure while m is held; release first or use Fun.protect") ]
+    );
+    ( "binding operator",
+      lib
+        "let ( let* ) = Option.bind\n\n\
+         let step m o =\n\
+        \  Mutex.lock m;\n\
+        \  let* x = o in\n\
+        \  Mutex.unlock m;\n\
+        \  Some x\n"
+        "val step : Mutex.t -> int option -> int option\n",
+      [
+        ( 5,
+          2,
+          "binding operator can short-circuit while m is held; release before the let* chain or \
+           use Fun.protect" );
+      ] );
+    ( "branch merge",
+      lib "let maybe m b =\n  Mutex.lock m;\n  if b then Mutex.unlock m\n"
+        "val maybe : Mutex.t -> bool -> unit\n",
+      [
+        ( 3,
+          2,
+          "m held on some paths out of this branch but not others; every path must release the \
+           same locks" );
+      ] );
+    ( "held at lambda return",
+      lib "let grab m = Mutex.lock m\n" "val grab : Mutex.t -> unit\n",
+      [
+        ( 1,
+          13,
+          "m is still held when this function returns; release on every path or use Fun.protect" );
+      ] );
+    ( "nested acquisition",
+      lib
+        "type deque = { dq_mutex : Mutex.t }\n\n\
+         let both pool d =\n\
+        \  Mutex.lock d.dq_mutex;\n\
+        \  Mutex.lock pool;\n\
+        \  Mutex.unlock pool;\n\
+        \  Mutex.unlock d.dq_mutex\n"
+        "type deque = { dq_mutex : Mutex.t }\n\nval both : Mutex.t -> deque -> unit\n",
+      [
+        ( 5,
+          2,
+          "acquiring pool while already holding d.dq_mutex (a deque mutex: stealers spin on it); \
+           nested acquisition blocks other domains and risks deadlock" );
+      ] );
+    ( "Condition.wait on an unheld mutex",
+      lib "let park c m = Condition.wait c m\n" "val park : Condition.t -> Mutex.t -> unit\n",
+      [
+        ( 1,
+          15,
+          "Condition.wait on m which is not held on this path; wait must be called with the mutex \
+           locked" );
+      ] );
+    ( "Condition.wait holding another",
+      lib
+        "let park c m other =\n\
+        \  Mutex.lock other;\n\
+        \  Mutex.lock m;\n\
+        \  Condition.wait c m;\n\
+        \  Mutex.unlock m;\n\
+        \  Mutex.unlock other\n"
+        "val park : Condition.t -> Mutex.t -> Mutex.t -> unit\n",
+      [
+        ( 3,
+          2,
+          "acquiring m while already holding other; nested acquisition blocks other domains and \
+           risks deadlock" );
+        (4, 2, "Condition.wait parks the domain while still holding other");
+      ] );
+    ( "raise",
+      lib "let fail m =\n  Mutex.lock m;\n  failwith \"boom\"\n" "val fail : Mutex.t -> 'a\n",
+      [ (3, 2, "raising while m is held leaks the lock; release first or use Fun.protect") ] );
+    ( "blocking call",
+      lib "let nap m =\n  Mutex.lock m;\n  Unix.sleepf 0.1;\n  Mutex.unlock m\n"
+        "val nap : Mutex.t -> unit\n",
+      [ (3, 2, "blocking call Unix.sleepf while holding m") ] );
+    ( "Fun.protect body",
+      lib
+        "let run m f =\n\
+        \  Mutex.lock m;\n\
+        \  let r = Fun.protect ~finally:(fun () -> ()) f in\n\
+        \  Mutex.unlock m;\n\
+        \  r\n"
+        "val run : Mutex.t -> (unit -> 'a) -> 'a\n",
+      [
+        ( 3,
+          10,
+          "Fun.protect body can raise while m is held and the finalizer does not release it" );
+      ] );
+    ( "held at binding end",
+      lib "let m = Mutex.create ()\nlet locked = Mutex.lock m; m\n" "val locked : Mutex.t\n",
+      [ (2, 0, "m is still held when locked finishes evaluating; release on every path") ] );
+  ]
 
 let test_r6_out_of_scope () =
   (* R6 is scoped to lib/parallel: the same shape elsewhere is the
@@ -472,6 +617,12 @@ let test_r6_out_of_scope () =
 
 (* ---------- R7: resource lifetime ---------- *)
 
+let r7_leak resource callee line =
+  Printf.sprintf
+    "%s leaks if %s (line %d) raises before the close; close it from a Fun.protect finalizer or \
+     use a with_open_* combinator"
+    resource callee line
+
 let test_r7_fd_leak_on_raise () =
   let report =
     scan
@@ -485,13 +636,9 @@ let test_r7_fd_leak_on_raise () =
         ("lib/store/peek.mli", "val peek : string -> string\n");
       ]
   in
-  check_rule_count "read can raise before the close" "R7" 1 report;
-  match by_rule "R7" report with
-  | [ f ] ->
-    Alcotest.(check int) "anchored at the open" 2 f.Lint.Finding.line;
-    Alcotest.(check bool) "cites the raising call" true
-      (contains ~needle:"really_input_string" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R7 finding"
+  expect_exact "R7"
+    [ (2, 11, r7_leak "input channel ic" "really_input_string" 3) ]
+    report
 
 let test_r7_fun_protect_clean () =
   let report =
@@ -523,7 +670,7 @@ let test_r7_mmap_without_close () =
            Bigarray.Array1.t\n" );
       ]
   in
-  check_rule_count "mapped fd never closed" "R7" 1 report
+  expect_exact "R7" [ (2, 11, r7_leak "file descriptor fd" "Unix.map_file" 4) ] report
 
 let test_r7_mmap_protected_clean () =
   let report =
@@ -557,14 +704,7 @@ let test_r7_socket_leak_on_raise () =
         ("lib/server/probe.mli", "val probe : string -> unit\n");
       ]
   in
-  check_rule_count "connect can raise before the close" "R7" 1 report;
-  match by_rule "R7" report with
-  | [ f ] ->
-    Alcotest.(check bool) "names the socket kind" true
-      (contains ~needle:"socket" f.Lint.Finding.message);
-    Alcotest.(check bool) "cites the raising call" true
-      (contains ~needle:"Unix.connect" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R7 finding"
+  expect_exact "R7" [ (2, 11, r7_leak "socket fd" "Unix.connect" 3) ] report
 
 let test_r7_socket_protected_clean () =
   let report =
@@ -594,12 +734,7 @@ let test_r7_accept_leak_on_raise () =
         ("lib/server/greet.mli", "val greet : Unix.file_descr -> unit\n");
       ]
   in
-  check_rule_count "read can raise before the accepted close" "R7" 1 report;
-  match by_rule "R7" report with
-  | [ f ] ->
-    Alcotest.(check bool) "names the accepted socket" true
-      (contains ~needle:"accepted socket" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R7 finding"
+  expect_exact "R7" [ (2, 18, r7_leak "accepted socket fd" "Bytes.create" 3) ] report
 
 let test_r7_accept_protected_clean () =
   let report =
@@ -616,6 +751,143 @@ let test_r7_accept_protected_clean () =
       ]
   in
   check_rule_count "protected accepted socket is clean" "R7" 0 report
+
+(* One fixture per remaining R7 leak cause and resource shape, each
+   with its exact diagnostic, anchored at the open. *)
+let r7_sites =
+  let store = site "lib/store" in
+  [
+    ( "assert",
+      store "let check path n =\n  let ic = open_in path in\n  assert (n > 0);\n  close_in ic\n"
+        "val check : string -> int -> unit\n",
+      [ (2, 11, r7_leak "input channel ic" "assert" 3) ] );
+    ( "binding operator",
+      store
+        "let ( let* ) = Option.bind\n\n\
+         let first path o =\n\
+        \  let ic = open_in path in\n\
+        \  let* n = o in\n\
+        \  close_in ic;\n\
+        \  Some n\n"
+        "val first : string -> int option -> int option\n",
+      [ (4, 11, r7_leak "input channel ic" "the binding operator (it can short-circuit)" 5) ] );
+    ( "non-lambda Fun.protect body",
+      store
+        "let run path f =\n\
+        \  let ic = open_in path in\n\
+        \  Fun.protect ~finally:ignore f;\n\
+        \  close_in ic\n"
+        "val run : string -> (unit -> unit) -> unit\n",
+      [ (2, 11, r7_leak "input channel ic" "the Fun.protect body" 3) ] );
+    ( "end of scope",
+      store "let maybe path b =\n  let ic = open_in path in\n  if b then close_in ic\n"
+        "val maybe : string -> bool -> unit\n",
+      [ (2, 11, "input channel ic is not closed on every path to the end of its scope") ] );
+    ( "Array.init fd array",
+      site "lib/corpus"
+        "let open_all paths =\n\
+        \  let fds =\n\
+        \    Array.init (Array.length paths) (fun i -> Unix.openfile paths.(i) [ Unix.O_RDONLY ] \
+         0)\n\
+        \  in\n\
+        \  let n = Unix.lseek (Array.unsafe_get fds 0) 0 Unix.SEEK_END in\n\
+        \  Array.iter Unix.close fds;\n\
+        \  n\n"
+        "val open_all : string array -> int\n",
+      [ (3, 46, r7_leak "file descriptors fds" "Unix.lseek" 5) ] );
+  ]
+
+(* A local helper behaves like the same code written inline: called
+   directly, what it releases is released; handed to unknown code, what
+   it captures escapes. *)
+let helper_sites =
+  [
+    ( "R6",
+      "lock released through a helper",
+      site "lib/parallel"
+        "let bump m r =\n\
+        \  Mutex.lock m;\n\
+        \  incr r;\n\
+        \  let release () = Mutex.unlock m in\n\
+        \  release ()\n"
+        "val bump : Mutex.t -> int ref -> unit\n",
+      [] );
+    ( "R7",
+      "channel closed through a helper",
+      site "lib/store"
+        "let touch path =\n  let ic = open_in path in\n  let finish () = close_in ic in\n  finish ()\n"
+        "val touch : string -> unit\n",
+      [] );
+    ( "R7",
+      "let-bound closure handed to unknown code",
+      site "lib/store"
+        "let watch register path =\n\
+        \  let ic = open_in path in\n\
+        \  let read () = input_line ic in\n\
+        \  register read\n"
+        "val watch : ((unit -> string) -> unit) -> string -> unit\n",
+      [] );
+    ( "R7",
+      "inline closure handed to unknown code",
+      site "lib/store"
+        "let watch register path =\n\
+        \  let ic = open_in path in\n\
+        \  register (fun () -> input_line ic)\n"
+        "val watch : ((unit -> string) -> unit) -> string -> unit\n",
+      [] );
+  ]
+
+(* Code the walk enters: the lambda a combinator runs is walked in
+   place, under the caller's locks; a local helper and the body of a
+   function with an optional argument are walked as functions of their
+   own. *)
+let walk_coverage =
+  [
+    ( "R6",
+      "raising call inside a combinator's lambda",
+      site "lib/parallel"
+        "let each m f xs =\n  Mutex.lock m;\n  List.iter (fun x -> f x) xs;\n  Mutex.unlock m\n"
+        "val each : Mutex.t -> (int -> unit) -> int list -> unit\n",
+      [
+        ( 3,
+          2,
+          "call to List.iter can raise while m is held, leaking the lock; release first or use \
+           Fun.protect" );
+        ( 3,
+          22,
+          "call to f can raise while m is held, leaking the lock; release first or use \
+           Fun.protect" );
+      ] );
+    ( "R7",
+      "open inside a local helper",
+      site "lib/store"
+        "let run paths =\n\
+        \  let one p =\n\
+        \    let ic = open_in p in\n\
+        \    let s = input_line ic in\n\
+        \    close_in ic;\n\
+        \    s\n\
+        \  in\n\
+        \  List.map one paths\n"
+        "val run : string list -> string list\n",
+      [ (3, 13, r7_leak "input channel ic" "input_line" 4) ] );
+    ( "R7",
+      "function with an optional argument",
+      site "lib/store"
+        "let peek ?(n = 4) path =\n\
+        \  let ic = open_in_bin path in\n\
+        \  let s = really_input_string ic n in\n\
+        \  close_in ic;\n\
+        \  s\n"
+        "val peek : ?n:int -> string -> string\n",
+      [ (2, 11, r7_leak "input channel ic" "really_input_string" 3) ] );
+  ]
+
+let exact_case (rule, name, files, expected) =
+  Alcotest.test_case name `Quick (fun () -> expect_exact rule expected (scan files))
+
+let exact_cases rule sites =
+  List.map (fun (name, files, expected) -> exact_case (rule, name, files, expected)) sites
 
 (* ---------- R5: interface coverage ---------- *)
 
@@ -688,51 +960,10 @@ let test_stale_cmt () =
         mkdir_p (Filename.dirname copy);
         Out_channel.with_open_bin copy (fun oc ->
             Out_channel.output_string oc (In_channel.with_open_bin built In_channel.input_all));
-        Lint.run ~root ())
+        Lint.run ~root)
   in
   check_rule_count "the source on disk is analyzed" "R7" 1 report;
   check_rule_count "and it types in-process" "P0" 0 report
-
-(* ---------- baseline ---------- *)
-
-let test_baseline_suppression () =
-  let files =
-    [
-      ("lib/tiling/clock.ml", "let now () = Unix.gettimeofday ()\n");
-      ("lib/tiling/clock.mli", "val now : unit -> float\n");
-    ]
-  in
-  let report = scan files in
-  check_rule_count "violation present without baseline" "R1" 1 report;
-  let baseline = List.map Lint.Baseline.entry_of_finding report.Lint.findings in
-  let suppressed = with_tree files (fun root -> Lint.run ~baseline ~root ()) in
-  Alcotest.(check int) "no findings survive" 0 (List.length suppressed.Lint.findings);
-  Alcotest.(check int) "suppression is counted" 1 suppressed.Lint.suppressed
-
-let test_baseline_file_roundtrip () =
-  let entry = { Lint.Baseline.rule = "R1"; file = "lib/a.ml"; message = "msg with spaces" } in
-  let path = Filename.temp_file "tilesched-baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "# justification: the measurement is the point\n\n";
-          Out_channel.output_string oc (Lint.Baseline.to_string [ entry ]));
-      match Lint.Baseline.load path with
-      | Error msg -> Alcotest.failf "load failed: %s" msg
-      | Ok loaded ->
-        Alcotest.(check int) "one entry" 1 (Lint.Baseline.size loaded);
-        Alcotest.(check bool) "roundtrips" true (loaded = [ entry ]))
-
-let test_baseline_rejects_garbage () =
-  let path = Filename.temp_file "tilesched-baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "not a baseline\n");
-      match Lint.Baseline.load path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "expected a parse error")
 
 (* ---------- A0: unused allowlist entries ---------- *)
 
@@ -754,20 +985,6 @@ let test_a0_unused_allowlist () =
      fixture tree contains no loadgen.ml, and says nothing about it. *)
   Alcotest.(check bool) "absent files are out of jurisdiction" false
     (List.exists (fun f -> f.Lint.Finding.file = "lib/server/loadgen.ml") report.Lint.findings)
-
-(* ---------- B0: stale baseline entries ---------- *)
-
-let test_b0_stale_baseline () =
-  let files =
-    [ ("lib/tiling/fine.ml", "let f x = x + 1\n"); ("lib/tiling/fine.mli", "val f : int -> int\n") ]
-  in
-  let baseline =
-    [ { Lint.Baseline.rule = "R1"; file = "lib/tiling/gone.ml"; message = "long since fixed" } ]
-  in
-  let report = with_tree files (fun root -> Lint.run ~baseline ~root ()) in
-  check_rule_count "paid-off debt is flagged" "B0" 1 report;
-  let relaxed = with_tree files (fun root -> Lint.run ~baseline ~allow_stale:true ~root ()) in
-  Alcotest.(check int) "--allow-stale silences B0" 0 (List.length relaxed.Lint.findings)
 
 (* ---------- a minimal JSON reader for the emitter tests ---------- *)
 
@@ -911,7 +1128,7 @@ let roundtrips rule file message =
   let f =
     { Lint.Finding.rule; severity = Lint.Finding.Error; file; line = 1; col = 0; message }
   in
-  let report = { Lint.findings = [ f ]; files_scanned = 1; files_typed = 1; suppressed = 0 } in
+  let report = { Lint.findings = [ f ]; files_scanned = 1; files_typed = 1 } in
   let jf = first (as_array (member "findings" (parse_json (Lint.render_json report)))) in
   let result =
     first
@@ -989,7 +1206,7 @@ let test_rule_book () =
 (* ---------- end-to-end: the repo tree is clean ---------- *)
 
 let test_repo_tree_clean () =
-  let report = Lint.run ~root:(repo_root ()) () in
+  let report = Lint.run ~root:(repo_root ()) in
   Alcotest.(check int)
     (String.concat "\n" ("repo tree lints clean" :: List.map Lint.Finding.to_human report.Lint.findings))
     0
@@ -1041,7 +1258,8 @@ let () =
           Alcotest.test_case "Fun.protect release is clean" `Quick test_r6_fun_protect_clean;
           Alcotest.test_case "double lock" `Quick test_r6_double_lock;
           Alcotest.test_case "scoped to lib/parallel" `Quick test_r6_out_of_scope;
-        ] );
+        ]
+        @ exact_cases "R6" r6_sites );
       ( "r7-resource-lifetime",
         [
           Alcotest.test_case "fd leak on raise" `Quick test_r7_fd_leak_on_raise;
@@ -1056,7 +1274,10 @@ let () =
             test_r7_accept_leak_on_raise;
           Alcotest.test_case "protected accepted socket is clean" `Quick
             test_r7_accept_protected_clean;
-        ] );
+        ]
+        @ exact_cases "R7" r7_sites );
+      ("local-helpers", List.map exact_case helper_sites);
+      ("walk-coverage", List.map exact_case walk_coverage);
       ( "r5-interfaces",
         [ Alcotest.test_case "missing .mli flagged, bin/test exempt" `Quick test_r5 ] );
       ( "driver",
@@ -1064,11 +1285,7 @@ let () =
           Alcotest.test_case "parse failure becomes P0" `Quick test_parse_failure;
           Alcotest.test_case "ill-typed file becomes P0" `Quick test_ill_typed;
           Alcotest.test_case "stale cmt is not analyzed" `Quick test_stale_cmt;
-          Alcotest.test_case "baseline suppresses and counts" `Quick test_baseline_suppression;
-          Alcotest.test_case "baseline file roundtrip" `Quick test_baseline_file_roundtrip;
-          Alcotest.test_case "baseline rejects garbage" `Quick test_baseline_rejects_garbage;
           Alcotest.test_case "unused allowlist entry becomes A0" `Quick test_a0_unused_allowlist;
-          Alcotest.test_case "stale baseline entry becomes B0" `Quick test_b0_stale_baseline;
           Alcotest.test_case "human and json rendering" `Quick test_render_formats;
           Alcotest.test_case "emitters survive hostile messages" `Quick test_render_escaping_cases;
           QCheck_alcotest.to_alcotest render_roundtrip_prop;

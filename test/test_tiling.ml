@@ -300,22 +300,30 @@ let test_euclidean_ball_tiles () =
   | None -> Alcotest.fail "plus pentomino tiles"
 
 let test_exactness_decisions () =
-  let check name expected p =
-    let verdict = Tiling.Search.exactness p in
-    let show = function `Exact -> "exact" | `NotExact -> "not-exact" | `Unknown -> "unknown" in
-    Alcotest.(check string) name (show expected) (show verdict)
+  (* Polyominoes are decided by the Beauquier-Nivat classification; the
+     tiles it does not apply to (1-D, not 4-connected) by the search. *)
+  let classified name expected p =
+    let verdict =
+      match Boundary_word.classify p with
+      | Boundary_word.Factorized _ -> "exact"
+      | Boundary_word.Refuted _ -> "not-exact"
+      | Boundary_word.Not_applicable -> "not applicable"
+    in
+    Alcotest.(check string) name expected verdict
   in
-  check "S exact" `Exact (Prototile.tetromino `S);
-  check "U5 not exact" `NotExact (Prototile.pentomino `U);
-  check "F5 not exact" `NotExact (Prototile.pentomino `F);
-  check "holey heptomino not exact" `NotExact
+  classified "S exact" "exact" (Prototile.tetromino `S);
+  classified "U5 not exact" "not-exact" (Prototile.pentomino `U);
+  classified "F5 not exact" "not-exact" (Prototile.pentomino `F);
+  classified "holey heptomino not exact" "not-exact"
     (Prototile.of_cells
        [ Vec.make2 0 0; Vec.make2 1 0; Vec.make2 2 0; Vec.make2 0 1; Vec.make2 2 1;
          Vec.make2 0 2; Vec.make2 1 2 ]);
-  check "{0,2} 1-D exact (torus search)" `Exact
-    (Prototile.of_cells [ Vec.of_list [ 0 ]; Vec.of_list [ 2 ] ]);
-  check "diagonal pair exact" `Exact
-    (Prototile.of_cells [ Vec.make2 0 0; Vec.make2 1 1 ])
+  let searched name p =
+    classified (name ^ ": no boundary word") "not applicable" p;
+    Alcotest.(check bool) (name ^ " (torus search)") true (Tiling.Search.find_tiling p <> None)
+  in
+  searched "{0,2} 1-D exact" (Prototile.of_cells [ Vec.of_list [ 0 ]; Vec.of_list [ 2 ] ]);
+  searched "diagonal pair exact" (Prototile.of_cells [ Vec.make2 0 0; Vec.make2 1 1 ])
 
 let test_3d_box_tiles () =
   let p =
