@@ -770,19 +770,15 @@ let solver_shootout () =
 
 let micro_benchmarks () =
   section "BENCH" "Bechamel micro-benchmarks (ns per call, OLS estimate)";
-  let rows = Microbench.run () in
+  let suite = Microbench.micro in
+  let rows = Microbench.run suite in
   Printf.printf "%-42s %16s\n" "benchmark" "ns/call";
   List.iter
     (fun r -> Printf.printf "%-42s %16.1f\n" r.Microbench.name r.Microbench.ns_per_call)
     rows;
-  let json = Microbench.to_json rows in
-  (match Microbench.validate_json json with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_5.json failed self-validation: " ^ msg));
-  let oc = open_out "BENCH_5.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\n[wrote BENCH_5.json: %d rows, schema-validated]\n" (List.length rows)
+  match Microbench.write_json suite suite.Microbench.artifact rows with
+  | Ok path -> Printf.printf "\n[wrote %s: %d rows, schema-validated]\n" path (List.length rows)
+  | Error msg -> failwith msg
 
 let () =
   print_endline "tilesched experiment harness - reproduces every figure of";

@@ -2,6 +2,14 @@ open Lattice
 
 type row = { name : string; ns_per_call : float }
 
+type suite = {
+  id : string;
+  artifact : string;
+  doc : string;
+  required : string list;
+  runner : quota:float -> exe:string option -> row list;
+}
+
 let staircase k =
   (* Exact staircase polyomino with ~4k+2 boundary letters. *)
   let cells =
@@ -50,16 +58,6 @@ let skew_root_share ~n =
   in
   float fat /. float total
 
-let required =
-  [
-    "torus-all-backtracking";
-    "torus-all-bitmask";
-    "torus-mat-backtracking";
-    "torus-mat-bitmask";
-  ]
-
-let required_skew = [ "skew-seq-j1"; "skew-steal-j4" ]
-
 let run_tests ~quota tests =
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
@@ -76,8 +74,7 @@ let run_tests ~quota tests =
       | _ -> None)
     rows
 
-let run_skew ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_skew: quota must be positive";
+let skew_rows ~quota =
   let open Bechamel in
   (* n = 28: 785 covers, 93% of them under the single monomino-at-zero
      root branch (EXP-P3), at a sequential count cost small enough for
@@ -98,8 +95,6 @@ let run_skew ?(quota = 0.5) () =
       Parallel.shutdown pool1;
       Parallel.shutdown pool4)
     (fun () -> run_tests ~quota tests)
-
-let required_lifetime = [ "lifetime-static"; "lifetime-rotate"; "repair-solve" ]
 
 (* The EXP-L1 instance: I-tetromino rows on an 8x8 grid, leaders paying a
    +1.0/slot surcharge against a 30-unit battery.  Deterministic, so the
@@ -137,8 +132,7 @@ let lifetime_first_death rot =
   | Some t -> float_of_int t
   | None -> float_of_int duration
 
-let run_lifetime ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_lifetime: quota must be positive";
+let lifetime_rows ~quota =
   let open Bechamel in
   let static = lifetime_instance ~classes:1 ~epochs:1 ~policy:Lifetime.Rotation.Round_robin in
   let rotate =
@@ -157,7 +151,7 @@ let run_lifetime ?(quota = 0.5) () =
     fun () ->
       match Lifetime.Repair.repair ~deployment base ~dead with
       | Ok r -> r
-      | Error e -> invalid_arg ("Microbench.run_lifetime: repair failed: " ^ e)
+      | Error e -> invalid_arg ("Microbench: lifetime suite: repair failed: " ^ e)
   in
   let tests =
     Test.make_grouped ~name:"lifetime"
@@ -170,14 +164,6 @@ let run_lifetime ?(quota = 0.5) () =
       ]
   in
   List.sort Stdlib.compare (run_tests ~quota tests @ slot_rows)
-
-let required_corpus =
-  [
-    "corpus-mmap-find-warm";
-    "corpus-store-find-warm";
-    "corpus-mmap-coldstart-find";
-    "corpus-store-coldstart-find";
-  ]
 
 (* The EXP-CORPUS instance: the full n <= 7 corpus (164 canonical classes)
    built fresh in a temp directory, next to a certificate store holding
@@ -195,15 +181,14 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let run_corpus ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_corpus: quota must be positive";
-  let open Bechamel in
+(* Build a fresh [n <= max_n] corpus in a temp directory, pass [f] the
+   directory and the corpus inside it, and remove both afterwards. *)
+let with_corpus ~suite ~max_n f =
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tilesched-corpus-bench-%d" (Unix.getpid ()))
+      (Printf.sprintf "tilesched-%s-bench-%d" suite (Unix.getpid ()))
   in
   let corpus_dir = Filename.concat root "corpus" in
-  let store_path = Filename.concat root "store.log" in
   let clean () =
     rm_rf corpus_dir;
     rm_rf root
@@ -211,9 +196,14 @@ let run_corpus ?(quota = 0.5) () =
   clean ();
   Unix.mkdir root 0o755;
   Fun.protect ~finally:clean (fun () ->
-      (match Corpus.Campaign.run ~dir:corpus_dir ~max_n:corpus_bench_max_n () with
-      | Ok _ -> ()
-      | Error e -> invalid_arg ("Microbench.run_corpus: " ^ e));
+      match Corpus.Campaign.run ~dir:corpus_dir ~max_n () with
+      | Ok _ -> f ~root ~corpus_dir
+      | Error e -> invalid_arg (Printf.sprintf "Microbench: %s suite: %s" suite e))
+
+let corpus_rows ~quota =
+  let open Bechamel in
+  with_corpus ~suite:"corpus" ~max_n:corpus_bench_max_n (fun ~root ~corpus_dir ->
+      let store_path = Filename.concat root "store.log" in
       let keys = ref [] in
       let store = Store.open_ store_path in
       Polyomino.enumerate_free_iter ~max_area:corpus_bench_max_n (fun ~area:_ tile ->
@@ -229,7 +219,7 @@ let run_corpus ?(quota = 0.5) () =
       let snap =
         match Corpus.Snapshot.open_ corpus_dir with
         | Ok s -> s
-        | Error e -> invalid_arg ("Microbench.run_corpus: " ^ e)
+        | Error e -> invalid_arg ("Microbench: corpus suite: " ^ e)
       in
       let store = Store.open_ store_path in
       let i = ref 0 in
@@ -263,17 +253,6 @@ let run_corpus ?(quota = 0.5) () =
       Store.close store;
       rows)
 
-let required_server =
-  [
-    "server-text-warm-rps";
-    "server-binary-warm-rps";
-    "server-binary-vs-text-speedup";
-    "server-open-10k-p50-us";
-    "server-open-10k-p95-us";
-    "server-open-10k-p99-us";
-    "server-open-10k-dropped";
-  ]
-
 (* Every tile has area <= 5, so each canonical class is resident in the
    n <= 5 corpus the suite builds: every tile-search is a warm mmap
    hit, the workload the zero-copy splice path exists for.  The tiles
@@ -296,24 +275,9 @@ let server_small_tiles =
       ("pent-I", Prototile.pentomino `I);
       ("pent-X", Prototile.pentomino `X) ]
 
-let run_server ?(quota = 0.5) ~exe () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_server: quota must be positive";
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tilesched-server-bench-%d" (Unix.getpid ()))
-  in
-  let corpus_dir = Filename.concat root "corpus" in
-  let sock = Filename.concat root "server.sock" in
-  let clean () =
-    rm_rf corpus_dir;
-    rm_rf root
-  in
-  clean ();
-  Unix.mkdir root 0o755;
-  Fun.protect ~finally:clean (fun () ->
-      (match Corpus.Campaign.run ~dir:corpus_dir ~max_n:5 () with
-      | Ok _ -> ()
-      | Error e -> invalid_arg ("Microbench.run_server: " ^ e));
+let server_rows ~quota ~exe =
+  with_corpus ~suite:"server" ~max_n:5 (fun ~root ~corpus_dir ->
+      let sock = Filename.concat root "server.sock" in
       let pid =
         let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
         Fun.protect
@@ -338,7 +302,7 @@ let run_server ?(quota = 0.5) ~exe () =
               | exception Unix.Unix_error _ -> false)
         in
         if ready then ()
-        else if n = 0 then invalid_arg "Microbench.run_server: server did not come up"
+        else if n = 0 then invalid_arg "Microbench: server suite: server did not come up"
         else begin
           ignore (Unix.select [] [] [] 0.05);
           await (n - 1)
@@ -412,8 +376,7 @@ let run_server ?(quota = 0.5) ~exe () =
                 ns_per_call = float_of_int open_r.Server.Loadgen.dropped };
             ]))
 
-let run ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run: quota must be positive";
+let micro_rows ~quota =
   let open Bechamel in
   let cheb2 = Prototile.chebyshev_ball ~dim:2 2 in
   let cheb2_tiling = Option.get (Tiling.Search.find_tiling cheb2) in
@@ -488,6 +451,55 @@ let run ?(quota = 0.5) () =
   run_tests ~quota tests
 
 (* ------------------------------------------------------------------ *)
+(* The suite table                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let suites =
+  [
+    { id = "micro"; artifact = "BENCH_5.json";
+      doc = "EXP-P2 kernel vs reference backtracker, plus one row per hot subsystem";
+      required =
+        [ "torus-all-backtracking"; "torus-all-bitmask"; "torus-mat-backtracking";
+          "torus-mat-bitmask" ];
+      runner = (fun ~quota ~exe:_ -> micro_rows ~quota) };
+    { id = "skew"; artifact = "BENCH_6.json";
+      doc = "EXP-P3 skewed instance, sequential vs work-stealing at jobs=4";
+      required = [ "skew-seq-j1"; "skew-steal-j4" ];
+      runner = (fun ~quota ~exe:_ -> skew_rows ~quota) };
+    { id = "lifetime"; artifact = "BENCH_7.json";
+      doc = "EXP-L1 static vs rotating first-death slots and repair-solver timings";
+      required = [ "lifetime-static"; "lifetime-rotate"; "repair-solve" ];
+      runner = (fun ~quota ~exe:_ -> lifetime_rows ~quota) };
+    { id = "corpus"; artifact = "BENCH_8.json";
+      doc = "EXP-CORPUS mmap snapshot vs certificate store lookups, warm and cold-start";
+      required =
+        [ "corpus-mmap-find-warm"; "corpus-store-find-warm"; "corpus-mmap-coldstart-find";
+          "corpus-store-coldstart-find" ];
+      runner = (fun ~quota ~exe:_ -> corpus_rows ~quota) };
+    { id = "server"; artifact = "BENCH_10.json";
+      doc = "EXP-SRV2 binary vs text throughput and 10k-connection open-loop latency";
+      required =
+        [ "server-text-warm-rps"; "server-binary-warm-rps"; "server-binary-vs-text-speedup";
+          "server-open-10k-p50-us"; "server-open-10k-p95-us"; "server-open-10k-p99-us";
+          "server-open-10k-dropped" ];
+      runner =
+        (fun ~quota ~exe ->
+          match exe with
+          | Some exe -> server_rows ~quota ~exe
+          | None -> invalid_arg "Microbench.run: the server suite needs ~exe") };
+  ]
+
+let micro = List.find (fun s -> s.id = "micro") suites
+
+let of_artifact path =
+  let base = Filename.basename path in
+  List.find_opt (fun s -> s.artifact = base) suites
+
+let run ?(quota = 0.5) ?exe suite =
+  if quota <= 0.0 then invalid_arg "Microbench.run: quota must be positive";
+  suite.runner ~quota ~exe
+
+(* ------------------------------------------------------------------ *)
 (* JSON artifact                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -528,7 +540,7 @@ let contains_substring hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let validate_json ?(required = required) s =
+let validate_json suite s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
@@ -572,17 +584,28 @@ let validate_json ?(required = required) s =
     in
     go ()
   in
+  (* JSON's number grammar and nothing wider: an optional minus, "0" or
+     a nonzero digit run, an optional fraction and an optional exponent,
+     each with at least one digit.  "+1", ".5", "1." and "01" fail here
+     instead of reaching float_of_string's laxer OCaml syntax. *)
   let parse_number () =
     skip_ws ();
     let start = !pos in
-    let numeric = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
-    while !pos < n && numeric s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
+    let accept p = !pos < n && p s.[!pos] && (incr pos; true) in
+    let digit = function '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (accept digit) then fail "malformed number";
+      while accept digit do () done
+    in
+    ignore (accept (( = ) '-'));
+    if accept (( = ) '0') then (if accept digit then fail "malformed number (leading zero)")
+    else digits ();
+    if accept (( = ) '.') then digits ();
+    if accept (function 'e' | 'E' -> true | _ -> false) then begin
+      ignore (accept (function '+' | '-' -> true | _ -> false));
+      digits ()
+    end;
+    float_of_string (String.sub s start (!pos - start))
   in
   let parse_row () =
     expect '{';
@@ -643,8 +666,21 @@ let validate_json ?(required = required) s =
     let missing =
       List.filter
         (fun req -> not (List.exists (fun r -> contains_substring r.name req) rows))
-        required
+        suite.required
     in
     if missing <> [] then Error ("missing required benchmark rows: " ^ String.concat ", " missing)
     else Ok rows
   with Bad msg -> Error msg
+
+let write_json suite path rows =
+  let path =
+    if Sys.file_exists path && Sys.is_directory path then Filename.concat path suite.artifact
+    else path
+  in
+  let out = to_json rows in
+  match validate_json suite out with
+  | Error msg -> Error ("refusing to write invalid artifact: " ^ msg)
+  | Ok _ -> (
+    match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc out) with
+    | () -> Ok path
+    | exception Sys_error msg -> Error ("cannot write artifact: " ^ msg))

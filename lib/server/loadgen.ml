@@ -278,7 +278,7 @@ type oconn = {
   oin : Ibuf.t;
   mutable out_buf : bytes;
   mutable out_off : int;  (* next unwritten byte; = length means flushed *)
-  mutable flight : float option;  (* send timestamp of the in-flight request *)
+  mutable flight : float option;  (* latency start of the in-flight request *)
   mutable oclosed : bool;
   mutable owrite : bool;  (* write interest currently registered *)
 }
@@ -369,11 +369,11 @@ let run_open ~path (cfg : open_config) =
     done;
     if not c.oclosed then set_write c (c.out_off < Bytes.length c.out_buf)
   in
-  let issue c =
+  let issue c ~at =
     let _, req = gen_request ~tiles:cfg.tiles ~sample ~ops:cfg.ops c.orng in
     c.out_buf <- encode_one ~binary:cfg.binary ~id:!sent req;
     c.out_off <- 0;
-    c.flight <- Some (Unix.gettimeofday ());
+    c.flight <- Some at;
     incr sent;
     Netsim.Stats.record_arrival stats;
     flush c
@@ -483,8 +483,13 @@ let run_open ~path (cfg : open_config) =
       match pop_idle () with
       | None -> () (* every connection busy: the backlog waits for replies *)
       | Some c ->
-        issue c;
-        if interval > 0.0 then next_send := !next_send +. interval;
+        (* Paced, the clock starts at the slot consumed, so a late
+           release still counts its wait (no coordinated omission). *)
+        if interval > 0.0 then begin
+          issue c ~at:!next_send;
+          next_send := !next_send +. interval
+        end
+        else issue c ~at:(Unix.gettimeofday ());
         pump ()
   in
   let last_progress = ref t_start in

@@ -122,7 +122,13 @@ type open_report = {
       (** [overloaded] replies; completions in open-loop accounting (the
           request got its answer), unlike the closed-loop retry *)
   by_source : (string * int) list;
-  latency : Netsim.Stats.snapshot;  (** per-request latency, microseconds *)
+  latency : Netsim.Stats.snapshot;
+      (** per-request latency, microseconds, up to the decoded reply.
+          Paced runs ([rate > 0]) start each request's clock at its
+          scheduled send time (the pacer slot it consumed), not at the
+          actual write, so a request held back because every connection
+          was busy counts its wait: no coordinated omission.  Unpaced
+          runs have no schedule and start the clock at the write. *)
   elapsed_s : float;
   throughput : float;  (** completions per second *)
 }

@@ -97,65 +97,29 @@ print("sarif ok (%d results)" % len(runs[0]["results"]))
 PY
 rm -f "$sarif_out"
 
-# The BENCH_5.json pipeline must stay machine-readable end to end: a
-# tiny-quota run writes the artifact, the strict validator re-reads it
-# (schema + the three required torus-engine rows).
-bench_json=/tmp/tilesched-bench5-smoke.json
-dune exec bin/tilesched.exe -- bench --json "$bench_json" --quota 0.02 > /dev/null
-dune exec bin/tilesched.exe -- bench --validate "$bench_json"
-rm -f "$bench_json"
-
-# Same contract for BENCH_6.json, the EXP-P3 scheduler suite (skewed
-# instance, sequential vs steal-j4).  Only the schema and required rows
-# are asserted here: any speedup from stealing needs real cores and is
-# read off the multi-core CI artifact instead.
-bench6_json=/tmp/tilesched-bench6-smoke.json
-dune exec bin/tilesched.exe -- bench --skew --json "$bench6_json" --quota 0.02 > /dev/null
-dune exec bin/tilesched.exe -- bench --skew --validate "$bench6_json"
-rm -f "$bench6_json"
-
-# And for BENCH_7.json, the EXP-L1 lifetime suite (static vs rotating
-# first-death slots, repair-solver timings).
-bench7_json=/tmp/tilesched-bench7-smoke.json
-dune exec bin/tilesched.exe -- bench --lifetime --json "$bench7_json" --quota 0.02 > /dev/null
-dune exec bin/tilesched.exe -- bench --lifetime --validate "$bench7_json"
-rm -f "$bench7_json"
-
-# And for BENCH_8.json, the EXP-CORPUS corpus suite (mmap snapshot vs
-# certificate store, warm and cold-start lookups).
-bench8_json=/tmp/tilesched-bench8-smoke.json
-dune exec bin/tilesched.exe -- bench --corpus --json "$bench8_json" --quota 0.02 > /dev/null
-dune exec bin/tilesched.exe -- bench --corpus --validate "$bench8_json"
-rm -f "$bench8_json"
-
-# And for BENCH_10.json, the EXP-SRV2 wire-protocol suite (binary vs
-# text throughput through the epoll daemon, 10k-connection open-loop
-# percentiles).  The open-loop leg holds 10k client sockets in the
-# bench process and 10k accepted ones in the daemon, so raise the fd
-# soft limit where the hard limit allows.
+# Every benchmark suite's artifact must stay machine-readable end to
+# end: a tiny-quota run writes the suite's BENCH_*.json into its own temp
+# directory (validated before the write), and the strict validator
+# re-reads it from disk, checking that the file name maps back to the
+# suite that wrote it.  Only schemas and required rows are asserted
+# here; thresholds are gated on the committed artifacts below.  The
+# server suite's open-loop leg holds 10k client sockets in the bench
+# process and 10k accepted ones in the daemon, so raise the fd soft
+# limit where the hard limit allows.
 ulimit -n 20000 2>/dev/null || true
-bench10_json=/tmp/tilesched-bench10-smoke.json
-dune exec bin/tilesched.exe -- bench --server --json "$bench10_json" --quota 0.02 > /dev/null
-dune exec bin/tilesched.exe -- bench --server --validate "$bench10_json"
-rm -f "$bench10_json"
+bench_dir=$(mktemp -d /tmp/tilesched-bench-smoke.XXXXXX)
+for suite in micro skew lifetime corpus server; do
+  mkdir "$bench_dir/$suite"
+  dune exec bin/tilesched.exe -- bench "$suite" --json "$bench_dir/$suite" --quota 0.02 > /dev/null
+  dune exec bin/tilesched.exe -- bench "$suite" --validate "$bench_dir/$suite"/BENCH_*.json
+done
+rm -rf "$bench_dir"
 
-# Every committed BENCH_*.json must validate against its own suite's
-# schema, so a stale in-repo artifact fails fast.  The suffix picks the
-# suite; an artifact this map doesn't know is itself an error.
+# Every committed BENCH_*.json must validate against the suite whose
+# artifact it is (picked by file name), so a stale in-repo artifact
+# fails fast, and one that no suite writes is itself an error.
 for artifact in $(git ls-files 'BENCH_*.json'); do
-  case "$artifact" in
-    BENCH_5.json) flag="" ;;
-    BENCH_6.json) flag="--skew" ;;
-    BENCH_7.json) flag="--lifetime" ;;
-    BENCH_8.json) flag="--corpus" ;;
-    BENCH_10.json) flag="--server" ;;
-    *)
-      echo "error: $artifact: no validation suite mapped for this artifact" >&2
-      exit 1
-      ;;
-  esac
-  # shellcheck disable=SC2086
-  dune exec bin/tilesched.exe -- bench $flag --validate "$artifact"
+  dune exec bin/tilesched.exe -- bench --validate "$artifact"
 done
 
 # Corpus pipeline smoke: a tiny campaign must build, report the exact

@@ -1,8 +1,9 @@
 (* Tests for the binary wire protocol and the epoll socket server:
    frame round-trips for every message type, decoder totality under
    truncation and bit flips, protocol sniffing (both dialects through
-   one socket), corrupt-frame connection isolation, and the
-   fd-leak-on-abrupt-disconnect regression. *)
+   one socket), corrupt-frame connection isolation, the
+   fd-leak-on-abrupt-disconnect regression, and the open-loop load
+   generator's paced latency accounting. *)
 
 open Lattice
 module Protocol = Server.Protocol
@@ -376,6 +377,58 @@ let test_sigpipe_reply_in_flight () =
       | _ -> Alcotest.fail "server unresponsive after reply-in-flight close");
       Unix.close fd)
 
+(* ---------- open-loop load generator ---------- *)
+
+let test_paced_latency_from_schedule () =
+  (* A stub daemon answers its one connection [d] after each request, so
+     it serves 1/d req/s; paced at 4x that, request k is due at k*d/4
+     but can only be written at about k*d, once reply k-1 is in.  From
+     its scheduled slot it waits d + 3kd/4, a p50 near 5d over 12
+     requests; stamping the clock at the write would report about d. *)
+  let d = 0.02 and total = 12 in
+  incr sock_counter;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tilesched-wire-%d-%d.sock" (Unix.getpid ()) !sock_counter)
+  in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let stub =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        let ic = Unix.in_channel_of_descr fd in
+        let rec serve () =
+          match input_line ic with
+          | exception End_of_file -> ()
+          | line ->
+            let id = match Protocol.request_of_string line with Ok (id, _) -> id | Error _ -> None in
+            Unix.sleepf d;
+            write_all fd (Protocol.response_to_string ?id Protocol.Overloaded ^ "\n");
+            serve ()
+        in
+        Fun.protect ~finally:(fun () -> close_in ic) serve)
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Domain.join stub;
+        Unix.close lfd;
+        Sys.remove path)
+      (fun () ->
+        Server.Loadgen.run_open ~path
+          { Server.Loadgen.open_default with
+            connections = 1;
+            rate = 4.0 /. d;
+            total;
+            binary = false })
+  in
+  Alcotest.(check int) "every request answered" total r.Server.Loadgen.completed;
+  let p50 = r.Server.Loadgen.latency.Netsim.Stats.p50_latency in
+  if not (p50 > 3.0 *. d *. 1e6) then
+    Alcotest.failf "paced p50 %.0f us hides the pacer backlog (service time %.0f us)" p50
+      (d *. 1e6)
+
 let () =
   Alcotest.run "wire"
     [
@@ -405,5 +458,10 @@ let () =
             test_fd_leak_regression;
           Alcotest.test_case "reply to a dead peer never raises SIGPIPE"
             `Quick test_sigpipe_reply_in_flight;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "paced latency runs from the scheduled slot" `Quick
+            test_paced_latency_from_schedule;
         ] );
     ]
