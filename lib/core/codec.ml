@@ -70,18 +70,16 @@ let basis_of_string s =
   | lam -> Ok lam
   | exception _ -> Error "invalid period basis"
 
-let schedule_to_string sched =
+let schedule_fields sched =
   let period = Schedule.period sched in
   let table =
     List.map (fun c -> string_of_int (Schedule.slot_at sched c)) (Sublattice.cosets period)
   in
-  encode_record ~kind:"schedule"
-    [ ("dim", string_of_int (Sublattice.dim period));
-      ("m", string_of_int (Schedule.num_slots sched)); ("basis", basis_to_string period);
-      ("table", String.concat "," table) ]
+  [ ("dim", string_of_int (Sublattice.dim period));
+    ("m", string_of_int (Schedule.num_slots sched)); ("basis", basis_to_string period);
+    ("table", String.concat "," table) ]
 
-let schedule_of_string s =
-  let* kvs = decode_record ~kind:"schedule" s in
+let schedule_of_fields kvs =
   let* m_s = field kvs "m" in
   let* basis_s = field kvs "basis" in
   let* table_s = field kvs "table" in
@@ -108,14 +106,15 @@ let schedule_of_string s =
     end
   | exception Failure _ -> Error "malformed integer"
 
-let tiling_to_string t =
-  encode_record ~kind:"tiling"
-    [ ("prototile", vecs_to_string (Prototile.cells (Tiling.Single.prototile t)));
-      ("basis", basis_to_string (Tiling.Single.period t));
-      ("offsets", vecs_to_string (Tiling.Single.offsets t)) ]
+let schedule_to_string sched = encode_record ~kind:"schedule" (schedule_fields sched)
+let schedule_of_string s = Result.bind (decode_record ~kind:"schedule" s) schedule_of_fields
 
-let tiling_of_string s =
-  let* kvs = decode_record ~kind:"tiling" s in
+let tiling_fields t =
+  [ ("prototile", vecs_to_string (Prototile.cells (Tiling.Single.prototile t)));
+    ("basis", basis_to_string (Tiling.Single.period t));
+    ("offsets", vecs_to_string (Tiling.Single.offsets t)) ]
+
+let tiling_of_fields kvs =
   let* cells_s = field kvs "prototile" in
   let* basis_s = field kvs "basis" in
   let* offsets_s = field kvs "offsets" in
@@ -128,6 +127,9 @@ let tiling_of_string s =
     | exception _ -> Error "invalid prototile"
   in
   Tiling.Single.make ~prototile ~period ~offsets
+
+let tiling_to_string t = encode_record ~kind:"tiling" (tiling_fields t)
+let tiling_of_string s = Result.bind (decode_record ~kind:"tiling" s) tiling_of_fields
 
 let csv_assignment sched ~domain =
   let buf = Buffer.create 256 in

@@ -45,5 +45,14 @@ val schedule_of_string : string -> (Schedule.t, string) result
 val tiling_to_string : Tiling.Single.t -> string
 val tiling_of_string : string -> (Tiling.Single.t, string) result
 
+(** The header-less fields of the two records above, for embedding in
+    another record (the server's response lines); the decoders ignore
+    keys that are not theirs. *)
+
+val schedule_fields : Schedule.t -> (string * string) list
+val schedule_of_fields : (string * string) list -> (Schedule.t, string) result
+val tiling_fields : Tiling.Single.t -> (string * string) list
+val tiling_of_fields : (string * string) list -> (Tiling.Single.t, string) result
+
 val csv_assignment : Schedule.t -> domain:Zgeom.Vec.t list -> string
 (** One line per sensor: its coordinates then its slot, e.g. "3,4,7". *)

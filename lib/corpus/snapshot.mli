@@ -13,13 +13,15 @@
     {!hit} is just a (shard, offset) pair into the maps.  Accessors
     slice from the mapped buffer on demand: {!tiling_fields} is the
     zero-deserialization reply path (one line scan + one blit, no
-    parsing), {!entry} the validating cold path for requests that must
-    transport or re-derive the tiling.
+    parsing); the server decodes that fragment alone (revalidating the
+    tiling) when it must transport or re-derive it, so the serving path
+    never reads a certificate line.  {!entry} decodes the whole verdict,
+    for tests and offline tools.
 
     Trust model: the snapshot believes the sealed corpus (the campaign
     validated everything it wrote, and [verify] re-proves the whole
-    corpus offline); readers that need a checked artifact go through
-    {!entry}, whose codec revalidates the tiling via [Single.make]. *)
+    corpus offline); every decoder above revalidates the tiling it
+    returns. *)
 
 type t
 

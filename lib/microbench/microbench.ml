@@ -554,6 +554,27 @@ let validate_json suite s =
     skip_ws ();
     if peek () = Some c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
+  (* The four hex digits after the 'u' at [pos]; leaves [pos] on the
+     last one.  A UTF-16 high surrogate must be followed by an escaped
+     low one. *)
+  let hex4 () =
+    let h = if !pos + 4 < n then String.sub s (!pos + 1) 4 else fail "truncated escape" in
+    if not (String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) h)
+    then fail "malformed \\u escape";
+    pos := !pos + 4;
+    int_of_string ("0x" ^ h)
+  in
+  let code_point () =
+    let hi = hex4 () in
+    if hi < 0xd800 || hi > 0xdfff then hi
+    else if hi < 0xdc00 && !pos + 2 < n && s.[!pos + 1] = '\\' && s.[!pos + 2] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo < 0xdc00 || lo > 0xdfff then fail "unpaired surrogate";
+      0x10000 + ((hi - 0xd800) lsl 10) + (lo - 0xdc00)
+    end
+    else fail "unpaired surrogate"
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -571,8 +592,12 @@ let validate_json suite s =
            | '"' -> Buffer.add_char buf '"'
            | '\\' -> Buffer.add_char buf '\\'
            | '/' -> Buffer.add_char buf '/'
+           | 'b' -> Buffer.add_char buf '\b'
+           | 'f' -> Buffer.add_char buf '\012'
            | 'n' -> Buffer.add_char buf '\n'
+           | 'r' -> Buffer.add_char buf '\r'
            | 't' -> Buffer.add_char buf '\t'
+           | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()))
            | _ -> fail "unsupported escape");
         incr pos;
         go ()

@@ -1,16 +1,16 @@
 open Zgeom
 open Lattice
 
-(* What the cache remembers per canonical tile: either a tiling (with the
-   schedule and certificate it induces, all for the canonical
-   orientation) or a proof of exhaustion. *)
+(* What the cache remembers per canonical tile: either a tiling of the
+   canonical orientation, with the schedule it induces derived on first
+   use, or a proof of exhaustion.  The certificate is a function of the
+   tiling too (paper Theorem 1); it is built only where it is persisted,
+   on the store write-through. *)
 type entry =
-  | Found of {
-      tiling : Tiling.Single.t;
-      schedule : Core.Schedule.t;
-      certificate : Core.Certificate.t;
-    }
+  | Found of { tiling : Tiling.Single.t; schedule : Core.Schedule.t Lazy.t }
   | Absent
+
+let found tiling = Found { tiling; schedule = lazy (Core.Schedule.of_tiling tiling) }
 
 type t = {
   cache : entry Cache.t;
@@ -57,17 +57,17 @@ let stats t : Protocol.server_stats =
     cache_evictions; cache_entries = Cache.length t.cache; store_hits = t.store_hits;
     corpus_hits = t.corpus_hits }
 
-(* The store speaks in durable artifacts (tiling + certificate); the
-   memory tier additionally holds the derived schedule.  Rebuilding it
-   on promotion is cheap next to the search both tiers amortize. *)
+(* The store speaks in durable artifacts (tiling + certificate), so
+   that a replay can re-prove each verdict; the memory tier keeps only
+   the tiling.  Building the certificate on write-through is cheap next
+   to the search it persists. *)
 let entry_of_stored : Store.entry -> entry = function
   | Store.No_tiling -> Absent
-  | Store.Found { tiling; certificate } ->
-    Found { tiling; schedule = Core.Schedule.of_tiling tiling; certificate }
+  | Store.Found { tiling; _ } -> found tiling
 
 let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
-  | Found { tiling; certificate; _ } -> Store.Found { tiling; certificate }
+  | Found { tiling; _ } -> Store.Found { tiling; certificate = Core.Certificate.build tiling }
 
 (* The wall clock is checked before each search stage (a single stage
    can overshoot; the bound is per-stage granular).  Returns [None] on
@@ -83,12 +83,7 @@ let search t tile =
     | _ -> ()
   in
   match Tiling.Search.find_tiling ~check tile with
-  | Some tiling ->
-    Some
-      (Found
-         { tiling;
-           schedule = Core.Schedule.of_tiling tiling;
-           certificate = Core.Certificate.build tiling })
+  | Some tiling -> Some (found tiling)
   | None -> Some Absent
   | exception Expired -> None
 
@@ -130,24 +125,19 @@ type resolution =
 let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response =
   match entry with
   | Absent -> No_tiling source
-  | Found { tiling; schedule; certificate } -> (
+  | Found { tiling; schedule } -> (
+    (* The schedule of a transported tiling is derived for this reply
+       only, and only if the reply needs it. *)
     let oriented =
-      if Prototile.equal tile (Tiling.Single.prototile tiling) then
-        Ok (tiling, lazy schedule, lazy certificate)
+      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok (tiling, schedule)
       else
-        match transport ~tile ~g tiling with
-        | Ok tl ->
-          Ok
-            ( tl,
-              lazy (Core.Schedule.of_tiling tl),
-              lazy (Core.Certificate.build tl) )
-        | Error msg -> Error ("internal: transported tiling invalid: " ^ msg)
+        Result.map (fun tl -> (tl, lazy (Core.Schedule.of_tiling tl))) (transport ~tile ~g tiling)
     in
     match oriented with
     | Error msg ->
       t.errors <- t.errors + 1;
-      Error_r msg
-    | Ok (tl, sched, cert) -> (
+      Error_r ("internal: transported tiling invalid: " ^ msg)
+    | Ok (tl, sched) -> (
       match req with
       | Slot { pos; _ } ->
         if Vec.dim pos <> Prototile.dim tile then begin
@@ -160,7 +150,7 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
             { slot = Core.Schedule.slot_at sched pos;
               num_slots = Core.Schedule.num_slots sched; source }
       | Schedule _ -> Schedule_r { schedule = Lazy.force sched; source }
-      | Tile_search _ -> Tiling_r { tiling = tl; certificate = Lazy.force cert; source }
+      | Tile_search _ -> Tiling_r { tiling = tl; source }
       | Stats | Shutdown -> assert false))
 
 (* Answer straight from the mmap snapshot.  A [Tile_search] for the
@@ -169,10 +159,12 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
    verbatim into the reply ([Tiling_raw_r]) - no decode, no revalidation,
    no allocation beyond the reply line itself.  Every other shape
    (slot/schedule derivation, congruent orientations needing transport)
-   decodes through [Snapshot.entry] and reuses the ordinary [answer]
-   path.  Corpus hits never populate the LRU: the snapshot lookup is
-   already O(log) in a mapped index, so promotion would only evict
-   entries the slower tiers still need. *)
+   decodes the stored tiling line alone - the same fragment decoder
+   binary clients use, which revalidates the tiling - and reuses the
+   ordinary [answer] path; the stored certificate is never parsed.
+   Corpus hits never populate the LRU: the snapshot lookup is already
+   O(log) in a mapped index, so promotion would only evict entries the
+   slower tiers still need. *)
 let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protocol.response =
   let source = Some Protocol.Corpus in
   match Corpus.Snapshot.verdict corpus hit with
@@ -182,11 +174,8 @@ let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protoc
     | Tile_search _ when Prototile.equal tile canon ->
       Tiling_raw_r { tiling_fields = Corpus.Snapshot.tiling_fields corpus hit; source }
     | _ -> (
-      match Corpus.Snapshot.entry corpus hit with
-      | Ok (Some (tiling, certificate)) ->
-        answer t req ~tile ~g ~source
-          (Found { tiling; schedule = Core.Schedule.of_tiling tiling; certificate })
-      | Ok None -> assert false (* verdict above was [`Exact] *)
+      match Protocol.tiling_of_fragment (Corpus.Snapshot.tiling_fields corpus hit) with
+      | Ok tiling -> answer t req ~tile ~g ~source (found tiling)
       | Error msg ->
         t.errors <- t.errors + 1;
         Error_r ("corpus: " ^ msg)))

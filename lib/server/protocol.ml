@@ -28,11 +28,7 @@ type source = Memory | Corpus | Store | Fresh
 type response =
   | Slot_r of { slot : int; num_slots : int; source : source option }
   | Schedule_r of { schedule : Core.Schedule.t; source : source option }
-  | Tiling_r of {
-      tiling : Tiling.Single.t;
-      certificate : Core.Certificate.t;
-      source : source option;
-    }
+  | Tiling_r of { tiling : Tiling.Single.t; source : source option }
   | Tiling_raw_r of { tiling_fields : string; source : source option }
   | Stats_r of server_stats
   | No_tiling of source option
@@ -167,40 +163,14 @@ let source_of kvs =
   | Some "fresh" -> Ok (Some Fresh)
   | Some s -> Error ("unknown reply source: " ^ s)
 
-(* A schedule already has a record encoding; embed its fields (minus the
-   header) rather than invent a second format.  [schedule_fields] decodes
-   the canonical line back into key/value pairs, which cannot fail on a
-   value produced by [schedule_to_string]. *)
-let schedule_fields sched =
-  match Codec.decode_record ~kind:"schedule" (Codec.schedule_to_string sched) with
-  | Ok kvs -> kvs
-  | Error _ -> assert false
-
-let schedule_of kvs =
-  let keep = [ "dim"; "m"; "basis"; "table" ] in
-  let kvs = List.filter (fun (k, _) -> List.mem k keep) kvs in
-  Codec.schedule_of_string (Codec.encode_record ~kind:"schedule" kvs)
-
-let tiling_fields t =
-  match Codec.decode_record ~kind:"tiling" (Codec.tiling_to_string t) with
-  | Ok kvs -> kvs
-  | Error _ -> assert false
-
-let tiling_of kvs =
-  let keep = [ "prototile"; "basis"; "offsets" ] in
-  let kvs = List.filter (fun (k, _) -> List.mem k keep) kvs in
-  Codec.tiling_of_string (Codec.encode_record ~kind:"tiling" kvs)
-
 (* The binary protocol ships tiling replies as the same '|'-separated
    field fragment the corpus splices into text lines; these two are the
    fragment codec it shares with [Wire]. *)
 let tiling_fragment t =
-  String.concat "|" (List.map (fun (k, v) -> k ^ "=" ^ v) (tiling_fields t))
+  String.concat "|" (List.map (fun (k, v) -> k ^ "=" ^ v) (Codec.tiling_fields t))
 
 let tiling_of_fragment frag =
-  let header = Codec.encode_record ~kind:"tiling" [] in
-  let* kvs = Codec.decode_record ~kind:"tiling" (header ^ "|" ^ frag) in
-  tiling_of kvs
+  Codec.tiling_of_string (Codec.encode_record ~kind:"tiling" [] ^ "|" ^ frag)
 
 let response_to_string ?id resp =
   let encode fields = Codec.encode_record ~kind:"response" (id_fields id @ fields) in
@@ -212,14 +182,11 @@ let response_to_string ?id resp =
       @ source_fields source)
   | Schedule_r { schedule; source } ->
     encode
-      ((("status", "ok") :: ("op", "schedule") :: schedule_fields schedule)
+      ((("status", "ok") :: ("op", "schedule") :: Codec.schedule_fields schedule)
       @ source_fields source)
-  | Tiling_r { tiling; certificate = _; source } ->
-    (* The certificate is derivable from the tiling (Certificate.build);
-       shipping only the tiling keeps the line minimal and forces the
-       receiving side to revalidate. *)
+  | Tiling_r { tiling; source } ->
     encode
-      ((("status", "ok") :: ("op", "tile-search") :: tiling_fields tiling)
+      ((("status", "ok") :: ("op", "tile-search") :: Codec.tiling_fields tiling)
       @ source_fields source)
   | Tiling_raw_r { tiling_fields; source } ->
     (* The corpus splice path: [tiling_fields] is the already-encoded
@@ -253,11 +220,11 @@ let response_of_string s =
         if num_slots < 1 || slot < 0 || slot >= num_slots then Error "slot out of range"
         else Ok (Slot_r { slot; num_slots; source })
       | "schedule" ->
-        let* schedule = schedule_of kvs in
+        let* schedule = Codec.schedule_of_fields kvs in
         Ok (Schedule_r { schedule; source })
       | "tile-search" ->
-        let* tiling = tiling_of kvs in
-        Ok (Tiling_r { tiling; certificate = Core.Certificate.build tiling; source })
+        let* tiling = Codec.tiling_of_fields kvs in
+        Ok (Tiling_r { tiling; source })
       | "stats" ->
         let* stats = stats_of kvs in
         Ok (Stats_r stats)

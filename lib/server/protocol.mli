@@ -18,7 +18,10 @@ type request =
           [tile]-neighborhoods (paper Theorem 1). *)
   | Schedule of Prototile.t  (** The full schedule record for [tile]. *)
   | Tile_search of Prototile.t
-      (** The tiling and independence certificate backing the schedule. *)
+      (** The tiling backing the schedule.  The schedule and its
+          optimality certificate are functions of it (paper Theorem 1),
+          so the reply carries the tiling alone; a client can derive the
+          certificate from it and check it ({!Core.Certificate}). *)
   | Stats  (** Server counters; never touches the cache. *)
   | Shutdown  (** Ask the daemon to finish the batch and exit cleanly. *)
 
@@ -52,11 +55,7 @@ type source =
 type response =
   | Slot_r of { slot : int; num_slots : int; source : source option }
   | Schedule_r of { schedule : Core.Schedule.t; source : source option }
-  | Tiling_r of {
-      tiling : Tiling.Single.t;
-      certificate : Core.Certificate.t;
-      source : source option;
-    }
+  | Tiling_r of { tiling : Tiling.Single.t; source : source option }
   | Tiling_raw_r of { tiling_fields : string; source : source option }
       (** Encode-only fast path: [tiling_fields] is the ['|']-separated
           field fragment of a stored tiling line, sliced from the corpus
@@ -85,8 +84,9 @@ val request_of_string : string -> (int option * request, string) result
 val response_to_string : ?id:int -> response -> string
 
 val response_of_string : string -> (int option * response, string) result
-(** [Tiling_r] rebuilds its certificate with {!Core.Certificate.build},
-    so a decoded certificate is trustworthy iff the tiling validates. *)
+(** A tiling reply decodes to [Tiling_r] through {!Core.Codec.tiling_of_fields},
+    which revalidates the tiling ({!Tiling.Single.make}); no certificate
+    is built. *)
 
 val tiling_fragment : Tiling.Single.t -> string
 (** The ['|']-separated field fragment of a tiling

@@ -179,7 +179,7 @@ let encode_response ?id resp =
         put_src buf source;
         Buffer.add_string buf (Codec.schedule_to_string schedule);
         op_schedule_r
-    | Tiling_r { tiling; certificate = _; source } ->
+    | Tiling_r { tiling; source } ->
         put_src buf source;
         Buffer.add_string buf (Protocol.tiling_fragment tiling);
         op_tiling_r
@@ -331,7 +331,7 @@ let decode_response s =
       | 0x83 ->
           (* Structural decode only: the fragment rides through verbatim
              and [Protocol.tiling_of_fragment] revalidates on demand.
-             Eager validation here would spend a certificate build per
+             Eager validation here would spend a tiling revalidation per
              reply and erase the wire format's latency advantage. *)
           let source = get_src cur in
           Protocol.Tiling_raw_r { tiling_fields = get_rest cur; source }

@@ -64,11 +64,12 @@ val decode_request : string -> (int option * Protocol.request, string) result
 val decode_response : string -> (int option * Protocol.response, string) result
 (** Tiling replies decode structurally to [Tiling_raw_r]: framing,
     CRC and field shape are checked, but the tiling fragment rides
-    through verbatim.  Callers that need the validated tiling and its
-    certificate pass the fragment to {!Protocol.tiling_of_fragment}
-    (plus {!Core.Certificate.build}) - deferring that work is what
-    keeps a binary reply O(payload bytes) to consume, unlike the text
-    codec's always-validating {!Protocol.response_of_string}. *)
+    through verbatim.  Callers that need the validated tiling pass the
+    fragment to {!Protocol.tiling_of_fragment} (and, to check its
+    optimality, derive the certificate from it, {!Core.Certificate}) -
+    deferring that work is what keeps a binary reply O(payload bytes)
+    to consume, unlike the text codec's always-validating
+    {!Protocol.response_of_string}. *)
 
 (** {2 Streaming} *)
 

@@ -187,14 +187,14 @@ let test_engine_corpus_tier () =
       | Protocol.Tiling_raw_r { source = Some Protocol.Corpus; _ } as resp -> (
         let raw_line = Protocol.response_to_string ~id:7 resp in
         let hit = Option.get (Snapshot.find snap key) in
-        let tiling, certificate =
+        let tiling =
           match Snapshot.entry snap hit with
-          | Ok (Some tc) -> tc
+          | Ok (Some (tiling, _)) -> tiling
           | _ -> Alcotest.fail "expected an exact corpus entry"
         in
         Alcotest.(check string) "splice line = decoded-and-reencoded line"
           (Protocol.response_to_string ~id:7
-             (Protocol.Tiling_r { tiling; certificate; source = Some Protocol.Corpus }))
+             (Protocol.Tiling_r { tiling; source = Some Protocol.Corpus }))
           raw_line;
         match Protocol.response_of_string raw_line with
         | Ok (Some 7, Protocol.Tiling_r { tiling; source = Some Protocol.Corpus; _ }) ->

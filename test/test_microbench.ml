@@ -92,6 +92,40 @@ let test_accepts_json_numbers () =
     [ ("0", 0.0); ("-0", 0.0); ("10", 10.0); ("0.5", 0.5); ("1.25e2", 125.0); ("2E-1", 0.2);
       ("3e+0", 3.0) ]
 
+(* [to_json] writes control characters as "\u00XX"; the validator must
+   read back every escape JSON defines, so [write_json] accepts any
+   row name. *)
+let test_escapes () =
+  let rows = [ { Microbench.name = "a\nb\x01c\"\\"; ns_per_call = 1.5 } ] in
+  (match Microbench.validate_json schema_only (Microbench.to_json rows) with
+  | Ok back -> Alcotest.(check bool) "control characters round-trip" true (back = rows)
+  | Error e -> Alcotest.failf "own escapes rejected: %s" e);
+  List.iter
+    (fun (esc, want) ->
+      match
+        Microbench.validate_json schema_only
+          (Printf.sprintf {|[{"name": "%s", "ns_per_call": 1}]|} esc)
+      with
+      | Ok [ r ] -> Alcotest.(check string) esc want r.Microbench.name
+      | Ok _ -> Alcotest.failf "%s: wrong row count" esc
+      | Error e -> Alcotest.failf "%s rejected: %s" esc e)
+    [ ({|\b\f\r\t\/|}, "\b\012\r\t/"); ({|\u0041\u00e9|}, "A\xc3\xa9");
+      ({|\uD83D\uDE00|}, "\xf0\x9f\x98\x80") ];
+  List.iter
+    (fun esc ->
+      match
+        Microbench.validate_json schema_only
+          (Printf.sprintf {|[{"name": "%s", "ns_per_call": 1}]|} esc)
+      with
+      | Ok _ -> Alcotest.failf "%s accepted" esc
+      | Error _ -> ())
+    [ {|\u41|}; {|\u00g1|}; {|\x41|}; {|\ud800|}; {|\ud800\u0041|}; {|\udc00|} ];
+  let dir = Filename.get_temp_dir_name () in
+  let path = Filename.concat dir (Printf.sprintf "tilesched-escape-%d.json" (Unix.getpid ())) in
+  match Microbench.write_json schema_only path rows with
+  | Ok _ -> Sys.remove path
+  | Error e -> Alcotest.failf "write_json refused a control character: %s" e
+
 let test_write_json () =
   let s = Microbench.micro in
   let rows = rows_of s in
@@ -130,6 +164,7 @@ let () =
           Alcotest.test_case "each missing required row is named" `Quick test_missing_rows_named;
           Alcotest.test_case "malformed documents rejected" `Quick test_rejects;
           Alcotest.test_case "JSON numbers accepted" `Quick test_accepts_json_numbers;
+          Alcotest.test_case "JSON string escapes" `Quick test_escapes;
           Alcotest.test_case "write_json" `Quick test_write_json;
         ] );
     ]

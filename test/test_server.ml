@@ -9,6 +9,8 @@ module Protocol = Server.Protocol
 module Engine = Server.Engine
 module Frontend = Server.Frontend
 module Loadgen = Server.Loadgen
+module Wire = Server.Wire
+module Codec = Core.Codec
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -73,35 +75,108 @@ let test_congruent_tiles_share_entry () =
   Alcotest.(check int) "three hits" 3 s.Protocol.cache_hits;
   Alcotest.(check int) "three searches" 3 s.Protocol.searches
 
-(* Every orientation of every catalogued tile must be answered with a
-   valid tiling/certificate for *that* orientation, transported from the
-   one cached canonical entry. *)
+(* Every orientation of every catalogued tile must be answered, from
+   every tier, with a valid tiling for *that* orientation: transported
+   from the one canonical entry the tier holds, checkable by a client
+   through either dialect, with a certificate that passes the
+   independent checker. *)
 let orientations tile =
   let rec rots k t = if k = 0 then [] else t :: rots (k - 1) (Prototile.rot90 t) in
   rots 4 tile @ rots 4 (Prototile.reflect tile)
 
+let transport_bases = [ tet `S; tet `L; tet `T; Prototile.pentomino `P ]
+
+let check_served_tiling ~tier ~source tile (resp : Protocol.response) =
+  let what = Printf.sprintf "%s tier, %s" tier (Codec.prototile_to_string tile) in
+  Alcotest.(check (option string)) (what ^ ": source")
+    (Some (Protocol.source_to_string source))
+    (Option.map Protocol.source_to_string (Protocol.source_of_response resp));
+  let check_tiling dialect = function
+    | Error e -> Alcotest.failf "%s: %s reply does not decode: %s" what dialect e
+    | Ok tiling -> (
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s tiling is for the requested orientation" what dialect)
+        true
+        (Prototile.equal (Tiling.Single.prototile tiling) tile);
+      match Core.Certificate.check (Core.Certificate.build tiling) with
+      | Ok () -> ()
+      | Error f ->
+        Alcotest.failf "%s: %s certificate rejected: %a" what dialect
+          Core.Certificate.pp_failure f)
+  in
+  check_tiling "text"
+    (match Protocol.response_of_string (Protocol.response_to_string ~id:1 resp) with
+    | Ok (Some 1, Protocol.Tiling_r { tiling; _ }) -> Ok tiling
+    | Ok (_, r) -> Error ("not a tiling reply: " ^ Protocol.response_to_string r)
+    | Error e -> Error e);
+  check_tiling "binary"
+    (match Wire.decode_response (Wire.encode_response ~id:1 resp) with
+    | Ok (Some 1, Protocol.Tiling_raw_r { tiling_fields; _ }) ->
+      Protocol.tiling_of_fragment tiling_fields
+    | Ok (_, r) -> Error ("not a tiling reply: " ^ Protocol.response_to_string r)
+    | Error e -> Error e)
+
+let with_temp_path f =
+  let path = Filename.temp_file "tilesched-transport" "" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      let rec rm p =
+        if Sys.file_exists p then
+          if Sys.is_directory p then begin
+            Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+            Unix.rmdir p
+          end
+          else Sys.remove p
+      in
+      rm path)
+    (fun () -> f path)
+
 let test_transport_all_orientations () =
+  let each_orientation f =
+    List.iter (fun base -> List.iter f (orientations base)) transport_bases
+  in
+  let tile_search e tile = Engine.handle e (Protocol.Tile_search tile) in
+  (* Fresh: an engine of its own per request, so every reply is searched. *)
+  each_orientation (fun tile ->
+      check_served_tiling ~tier:"fresh" ~source:Protocol.Fresh tile
+        (tile_search (Engine.create ()) tile));
+  (* Memory: one engine, each class primed once, then every orientation
+     served from the one cached canonical entry. *)
   let e = Engine.create ~queue_bound:16 () in
-  List.iter
-    (fun base ->
-      List.iter
-        (fun tile ->
-          match Engine.handle e (Protocol.Tile_search tile) with
-          | Protocol.Tiling_r { tiling; certificate; _ } ->
-            Alcotest.(check bool)
-              "tiling is for the requested orientation" true
-              (Prototile.equal (Tiling.Single.prototile tiling) tile);
-            (match Core.Certificate.check certificate with
-            | Ok () -> ()
-            | Error f ->
-              Alcotest.failf "certificate rejected: %a" Core.Certificate.pp_failure f)
-          | _ -> Alcotest.fail "expected a tiling")
-        (orientations base))
-    [ tet `S; tet `L; tet `T; Prototile.pentomino `P ];
-  (* 4 canonical classes, 32 requests: 28 hits. *)
+  List.iter (fun base -> ignore (tile_search e base)) transport_bases;
+  each_orientation (fun tile ->
+      check_served_tiling ~tier:"memory" ~source:Protocol.Memory tile (tile_search e tile));
   let s = Engine.stats e in
   Alcotest.(check int) "entries" 4 s.Protocol.cache_entries;
-  Alcotest.(check int) "hits" 28 s.Protocol.cache_hits
+  Alcotest.(check int) "hits" 32 s.Protocol.cache_hits;
+  (* Store: verdicts written through by one engine, replayed (and
+     re-proved) by a reopened store, served by a new engine per request. *)
+  with_temp_path (fun path ->
+      let store = Store.open_ path in
+      let e = Engine.create ~store () in
+      List.iter (fun base -> ignore (tile_search e base)) transport_bases;
+      Store.close store;
+      let store = Store.open_ path in
+      Alcotest.(check int) "replayed verdicts" 4 (Store.length store);
+      each_orientation (fun tile ->
+          check_served_tiling ~tier:"store" ~source:Protocol.Store tile
+            (tile_search (Engine.create ~store ()) tile));
+      Store.close store);
+  (* Corpus: a sealed snapshot of every polyomino up to area 5. *)
+  with_temp_path (fun dir ->
+      (match Corpus.Campaign.run ~dir ~max_n:5 () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      match Corpus.Snapshot.open_ dir with
+      | Error e -> Alcotest.fail e
+      | Ok snap ->
+        let e = Engine.create ~corpus:snap () in
+        each_orientation (fun tile ->
+            check_served_tiling ~tier:"corpus" ~source:Protocol.Corpus tile
+              (tile_search e tile));
+        Alcotest.(check int) "corpus tier searched nothing" 0
+          (Engine.stats e).Protocol.searches)
 
 let test_slot_matches_schedule () =
   let e = Engine.create () in
@@ -255,7 +330,7 @@ let test_search_tier_matches_oracle () =
       let expected : Protocol.response =
         if tileable then
           let tiling = transported_lattice_tiling tile in
-          Tiling_r { tiling; certificate = Core.Certificate.build tiling; source }
+          Tiling_r { tiling; source }
         else No_tiling source
       in
       Alcotest.(check string) ("reply for " ^ key)
@@ -301,12 +376,11 @@ let test_response_roundtrip () =
         (Sublattice.cosets (Core.Schedule.period sched))
     | _ -> false);
   check_rt
-    (Protocol.Tiling_r
-       { tiling; certificate = Core.Certificate.build tiling; source = Some Protocol.Store })
+    (Protocol.Tiling_r { tiling; source = Some Protocol.Store })
     (function
-      | Protocol.Tiling_r { tiling = t; certificate; source = Some Protocol.Store } ->
+      | Protocol.Tiling_r { tiling = t; source = Some Protocol.Store } ->
         Prototile.equal (Tiling.Single.prototile t) (tet `S)
-        && Core.Certificate.check certificate = Ok ()
+        && Core.Certificate.check (Core.Certificate.build t) = Ok ()
       | _ -> false);
   check_rt (Protocol.No_tiling (Some Protocol.Fresh)) (fun r ->
       r = Protocol.No_tiling (Some Protocol.Fresh));

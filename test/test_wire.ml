@@ -56,7 +56,7 @@ let sample_responses : (int option * Protocol.response) list =
    [Tiling_raw_r]; normalize both sides to raw form for comparison. *)
 let normalize_response (r : Protocol.response) : Protocol.response =
   match r with
-  | Protocol.Tiling_r { tiling; certificate = _; source } ->
+  | Protocol.Tiling_r { tiling; source } ->
     Protocol.Tiling_raw_r
       { tiling_fields = Protocol.tiling_fragment tiling; source }
   | r -> r
