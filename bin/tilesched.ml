@@ -711,21 +711,26 @@ let loadgen_cmd =
             Ok ((name, tile) :: acc))
           (String.split_on_char ',' names) (Ok [])
     in
+    (* A daemon that cannot be reached, or dies mid-run, is a plain
+       error on either dialect: a message and exit status 1. *)
+    let driving path run =
+      let fail msg = Printf.eprintf "tilesched: cannot drive %s: %s\n%!" path msg; exit 1 in
+      try run () with
+      | Unix.Unix_error (err, _, _) -> fail (Unix.error_message err)
+      | End_of_file -> fail "connection closed by the server"
+    in
     match connections with
     | Some connections -> (
       match socket with
       | None -> Error (`Msg "--connections (open-loop mode) needs --socket")
-      | Some path -> (
+      | Some path ->
         let open_config =
           { Server.Loadgen.connections; rate; total = requests; binary; zipf;
             seed = Int64.of_int seed; tiles; ops; send_shutdown = shutdown }
         in
-        match Server.Loadgen.run_open ~path open_config with
-        | report ->
-          Format.printf "%a@." Server.Loadgen.pp_open_report report;
-          Ok ()
-        | exception Unix.Unix_error (err, _, _) ->
-          Error (`Msg (Printf.sprintf "cannot drive %s: %s" path (Unix.error_message err)))))
+        let report = driving path (fun () -> Server.Loadgen.run_open ~path open_config) in
+        Format.printf "%a@." Server.Loadgen.pp_open_report report;
+        Ok ())
     | None ->
       let config =
         { Server.Loadgen.requests; clients; zipf; seed = Int64.of_int seed; tiles; ops;
@@ -740,18 +745,8 @@ let loadgen_cmd =
             let engine = Server.create ~cache_capacity:cache ~queue_bound:queue () in
             Ok (Server.Loadgen.run engine config)
           end
-        | Some path -> (
-          match
-            if binary then
-              Server.Frontend.with_binary_connection ~path (fun send ->
-                  Server.Loadgen.run_binary ~send config)
-            else
-              Server.Frontend.with_connection ~path (fun send ->
-                  Server.Loadgen.run_with ~send config)
-          with
-          | report -> Ok report
-          | exception Unix.Unix_error (err, _, _) ->
-            Error (`Msg (Printf.sprintf "cannot drive %s: %s" path (Unix.error_message err))))
+        | Some path ->
+          Ok (driving path (fun () -> Server.Loadgen.run_socket ~binary ~path config))
       in
       (* Deterministic summary on stdout (diffable across -j and runs);
          wall-clock timing on stderr. *)

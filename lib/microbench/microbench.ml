@@ -275,6 +275,10 @@ let server_small_tiles =
       ("pent-I", Prototile.pentomino `I);
       ("pent-X", Prototile.pentomino `X) ]
 
+(* Alternating text/binary closed-loop pairs behind the server suite's
+   median rows; odd, so each median is one measured run. *)
+let server_pairs = 7
+
 let server_rows ~quota ~exe =
   with_corpus ~suite:"server" ~max_n:5 (fun ~root ~corpus_dir ->
       let sock = Filename.concat root "server.sock" in
@@ -330,21 +334,27 @@ let server_rows ~quota ~exe =
              measured runs compare steady states rather than cold
              starts. *)
           let warmup = { config with requests = 1_000 } in
-          let (_ : Server.Loadgen.report) =
-            Server.Frontend.with_connection ~path:sock (fun send ->
-                Server.Loadgen.run_with ~send warmup)
+          let warm_rps binary config =
+            (Server.Loadgen.run_socket ~binary ~path:sock config).Server.Loadgen.throughput
           in
-          let (_ : Server.Loadgen.report) =
-            Server.Frontend.with_binary_connection ~path:sock (fun send ->
-                Server.Loadgen.run_binary ~send warmup)
+          ignore (warm_rps false warmup);
+          ignore (warm_rps true warmup);
+          (* One run per dialect is a single noisy sample of the ratio,
+             so text and binary runs alternate in [server_pairs] pairs
+             and the rows report medians: of each dialect's rps and of
+             the per-pair binary/text ratios. *)
+          let pairs =
+            List.init server_pairs (fun i ->
+                let text = warm_rps false config in
+                let binary = warm_rps true config in
+                let ratio = if text > 0.0 then binary /. text else 0.0 in
+                Printf.eprintf "server pair %d: text %.0f req/s, binary %.0f req/s, ratio %.2f\n%!"
+                  (i + 1) text binary ratio;
+                (text, binary, ratio))
           in
-          let text : Server.Loadgen.report =
-            Server.Frontend.with_connection ~path:sock (fun send ->
-                Server.Loadgen.run_with ~send config)
-          in
-          let binary : Server.Loadgen.report =
-            Server.Frontend.with_binary_connection ~path:sock (fun send ->
-                Server.Loadgen.run_binary ~send config)
+          let median f =
+            let xs = List.sort Float.compare (List.map f pairs) in
+            List.nth xs (server_pairs / 2)
           in
           let open_cfg =
             { Server.Loadgen.open_default with
@@ -361,14 +371,9 @@ let server_rows ~quota ~exe =
           let lat = open_r.Server.Loadgen.latency in
           List.sort Stdlib.compare
             [
-              { name = "server-text-warm-rps"; ns_per_call = text.Server.Loadgen.throughput };
-              { name = "server-binary-warm-rps";
-                ns_per_call = binary.Server.Loadgen.throughput };
-              { name = "server-binary-vs-text-speedup";
-                ns_per_call =
-                  (if text.Server.Loadgen.throughput > 0.0 then
-                     binary.Server.Loadgen.throughput /. text.Server.Loadgen.throughput
-                   else 0.0) };
+              { name = "server-text-warm-rps"; ns_per_call = median (fun (t, _, _) -> t) };
+              { name = "server-binary-warm-rps"; ns_per_call = median (fun (_, b, _) -> b) };
+              { name = "server-binary-vs-text-speedup"; ns_per_call = median (fun (_, _, r) -> r) };
               { name = "server-open-10k-p50-us"; ns_per_call = lat.Netsim.Stats.p50_latency };
               { name = "server-open-10k-p95-us"; ns_per_call = lat.Netsim.Stats.p95_latency };
               { name = "server-open-10k-p99-us"; ns_per_call = lat.Netsim.Stats.p99_latency };

@@ -66,9 +66,11 @@ val suites : suite list
       mmap snapshot vs a certificate store of the same verdicts, warm
       and cold-start (open, find, close).
     - [server] ([BENCH_10.json], EXP-SRV2): spawns [exe serve --corpus]
-      over an [n <= 5] corpus; closed-loop warm tile-search req/s per
-      dialect ([quota * 10_000] requests, at least 1000) and their
-      ratio, then p50/p95/p99 latency (us) and dropped replies of a
+      over an [n <= 5] corpus; seven alternating text/binary pairs of
+      closed-loop warm tile-search runs ([quota * 10_000] requests
+      each, at least 1000), reported as the median req/s per dialect
+      and the median per-pair binary/text ratio (each pair is logged on
+      stderr), then p50/p95/p99 latency (us) and dropped replies of a
       fixed unpaced 10,000-connection binary run.  The daemon is shut
       down at the end, or killed if anything raises first. *)
 

@@ -1,28 +1,33 @@
 module Epoll = Evloop.Epoll
-module Ibuf = Evloop.Ibuf
 module Loop = Evloop.Loop
 
-let max_line = 1024 * 1024
-
 let is_shutdown_resp = function Protocol.Shutting_down -> true | _ -> false
+
+(* One batch's reply messages, in request order: a request the reader
+   could not parse is answered [error] in its place, a parsed one by
+   the engine's next response. *)
+type slot = Bad_line of string | Parsed of int option
+
+let replies d slots resps =
+  let rec go slots resps =
+    match (slots, resps) with
+    | [], [] -> []
+    | Bad_line msg :: tl, resps -> Dialect.encode_response d (Error_r msg) :: go tl resps
+    | Parsed id :: tl, resp :: resps -> Dialect.encode_response d ?id resp :: go tl resps
+    | Parsed _ :: _, [] | [], _ :: _ -> assert false
+  in
+  go slots resps
 
 let handle_lines engine lines =
   let parsed = List.map Protocol.request_of_string lines in
   let reqs =
     List.filter_map (function Ok (_, req) -> Some req | Error _ -> None) parsed
   in
-  let resps = Engine.handle_batch engine reqs in
-  let shutdown = List.exists is_shutdown_resp resps in
-  let rec merge parsed resps =
-    match (parsed, resps) with
-    | [], [] -> []
-    | Error msg :: tl, resps ->
-      Protocol.response_to_string (Error_r msg) :: merge tl resps
-    | Ok (id, _) :: tl, resp :: resps ->
-      Protocol.response_to_string ?id resp :: merge tl resps
-    | Ok _ :: _, [] | [], _ :: _ -> assert false
+  let slots =
+    List.map (function Ok (id, _) -> Parsed id | Error msg -> Bad_line msg) parsed
   in
-  (merge parsed resps, shutdown)
+  let resps = Engine.handle_batch engine reqs in
+  (replies Dialect.Text slots resps, List.exists is_shutdown_resp resps)
 
 let serve_stdio engine =
   let bound = Engine.queue_bound engine in
@@ -47,11 +52,6 @@ let serve_stdio engine =
      done
    with End_of_file -> ());
   flush_batch ()
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  try go 0 with Unix.Unix_error _ -> ()
 
 (* ---------- engine bridge ---------- *)
 
@@ -136,41 +136,15 @@ let engine_worker engine bridge fast_hits =
 
 (* ---------- evloop daemon ---------- *)
 
-(* The first byte of a connection picks its protocol: binary frames
-   open with {!Wire.magic0}, text lines with the record header ('t').
-   Per-connection state machine: sniff -> read (lines or frames) ->
-   engine-pending -> write; [pending] counts bridge items in flight so
-   the binary fast path only fires when it cannot reorder replies. *)
-type proto = Sniffing | Text | Binary
-
-type cstate = { mutable proto : proto; ibuf : Ibuf.t; mutable pending : int }
-
-type slot = Bad_line of string | Parsed of int option
-
-let render_text slots resps =
-  let buf = Buffer.create 256 in
-  let rec go slots resps =
-    match (slots, resps) with
-    | [], [] -> ()
-    | Bad_line msg :: tl, resps ->
-      Buffer.add_string buf (Protocol.response_to_string (Error_r msg));
-      Buffer.add_char buf '\n';
-      go tl resps
-    | Parsed id :: tl, resp :: resps ->
-      Buffer.add_string buf (Protocol.response_to_string ?id resp);
-      Buffer.add_char buf '\n';
-      go tl resps
-    | Parsed _ :: _, [] | [], _ :: _ -> assert false
-  in
-  go slots resps;
-  Buffer.contents buf
-
-let render_binary ids resps =
-  let buf = Buffer.create 256 in
-  List.iter2
-    (fun id resp -> Buffer.add_string buf (Wire.encode_response ?id resp))
-    ids resps;
-  Buffer.contents buf
+(* Per-connection state machine: sniff -> read messages -> engine-pending
+   -> write.  The first byte picks the dialect ({!Dialect.sniff});
+   [pending] counts bridge items in flight so the binary fast routes
+   only fire when they cannot reorder replies. *)
+type cstate = {
+  mutable dialect : Dialect.t option;
+  rd : Dialect.reader;
+  mutable pending : int;
+}
 
 (* A listening Unix-domain socket at [path], closed again if bind or
    listen fails; on success the event loop owns it. *)
@@ -196,49 +170,20 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
      queue is FIFO, so replies leave in completion order and a
      [Shutting_down] reply is flushed before the shutdown it
      triggers. *)
-  let submit loop c render =
-    let st = Loop.state c in
+  let submit loop c st d slots reqs =
     st.pending <- st.pending + 1;
-    fun reqs ->
-      Bridge.push bridge
-        { reqs;
-          deliver =
-            (fun resps ->
-              let out = render resps in
-              let shutdown = List.exists is_shutdown_resp resps in
-              Loop.inject loop (fun () ->
-                  st.pending <- st.pending - 1;
-                  Loop.send loop c [ Epoll.Str (out, 0, String.length out) ];
-                  if shutdown then Loop.shutdown loop)) }
-  in
-  let process_text loop c st =
-    let slots = ref [] and reqs = ref [] in
-    let overflow = ref false in
-    let continue = ref true in
-    while !continue do
-      let rec find_nl i =
-        if i = st.ibuf.Ibuf.len then None
-        else if Bytes.get st.ibuf.Ibuf.data (st.ibuf.Ibuf.start + i) = '\n' then Some i
-        else find_nl (i + 1)
-      in
-      match find_nl 0 with
-      | Some i ->
-        let line = Bytes.sub_string st.ibuf.Ibuf.data st.ibuf.Ibuf.start i in
-        Ibuf.drop st.ibuf (i + 1);
-        (match Protocol.request_of_string line with
-        | Ok (id, req) ->
-          slots := Parsed id :: !slots;
-          reqs := req :: !reqs
-        | Error msg -> slots := Bad_line msg :: !slots)
-      | None ->
-        continue := false;
-        if st.ibuf.Ibuf.len > max_line then overflow := true
-    done;
-    if !slots <> [] then begin
-      let slots = List.rev !slots in
-      submit loop c (render_text slots) (List.rev !reqs)
-    end;
-    if !overflow then Loop.close_conn loop c
+    Bridge.push bridge
+      { reqs;
+        deliver =
+          (fun resps ->
+            let buf = Buffer.create 256 in
+            List.iter (Dialect.add_message d buf) (replies d slots resps);
+            let out = Buffer.contents buf in
+            let shutdown = List.exists is_shutdown_resp resps in
+            Loop.inject loop (fun () ->
+                st.pending <- st.pending - 1;
+                Loop.send loop c [ Epoll.Str (out, 0, String.length out) ];
+                if shutdown then Loop.shutdown loop)) }
   in
   (* The zero-copy road: a binary [Tile_search] probing an exact corpus
      record is answered on the loop thread by splicing the tiling bytes
@@ -248,11 +193,10 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
      implies the request was already canonical and needs no transport;
      a miss (non-canonical or unknown) falls through to the engine,
      which canonicalizes.  Only taken when no engine reply is in flight
-     for this connection, so replies never reorder. *)
-  (* The snapshot is immutable, so the corpus verdict is a pure
-     function of the request payload bytes; [memo] caches it per
-     payload and lets a repeated probe skip the tile decode and
-     canonical-key build entirely. *)
+     for this connection, so replies never reorder.  The snapshot is
+     immutable, so the corpus verdict is a pure function of the request
+     payload bytes; [memo] caches it per payload and lets a repeated
+     probe skip the tile decode and canonical-key build entirely. *)
   let memo :
       (string, [ `Exact of Wire.bigstring * int * int | `Non_exact | `Miss ])
       Hashtbl.t =
@@ -269,9 +213,7 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
     | Some hit -> (
       match Corpus.Snapshot.verdict corpus hit with
       | `Non_exact -> `Non_exact
-      | `Exact ->
-        let seg, pos, len = Corpus.Snapshot.tiling_raw corpus hit in
-        `Exact (seg, pos, len))
+      | `Exact -> `Exact (Corpus.Snapshot.tiling_raw corpus hit))
   in
   let serve_probe loop c id p =
     match p with
@@ -302,9 +244,9 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
           Epoll.Str (crc, 0, String.length crc) ];
       true
   in
-  let fast_path loop c st id req frame eligible =
+  let fast_path loop c id req frame =
     match (corpus, (req : Protocol.request)) with
-    | Some corpus, Tile_search tile when eligible && st.pending = 0 ->
+    | Some corpus, Tile_search tile ->
       let key = Core.Verdict.key_of_canonical tile in
       let p = probe corpus key in
       if Hashtbl.length memo < memo_cap then
@@ -316,8 +258,8 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
      before is answered from the frame bytes alone - CRC check, id
      peel, splice.  A CRC mismatch falls through to the decoder, which
      rejects the frame and kills the connection. *)
-  let fast_frame loop c st frame eligible =
-    eligible && st.pending = 0 && corpus <> None
+  let fast_frame loop c frame =
+    corpus <> None
     && String.length frame > Wire.header_size + Wire.trailer_size
     && Wire.frame_opcode frame = Wire.op_tile_search
     &&
@@ -327,55 +269,49 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
       Wire.frame_crc_ok frame
       && serve_probe loop c (Wire.frame_id frame) p
   in
-  let process_binary loop c st =
-    let ids = ref [] and reqs = ref [] in
-    let corrupt = ref false in
+  (* The one reader: every complete message buffered on [c] is either
+     answered by a binary fast route or joins one engine batch.  A bad
+     text line is answered [error] in its place; a partial line past
+     [Dialect.max_line], a bad frame head or an undecodable frame closes
+     this connection - and only this one - after the batch before it is
+     submitted. *)
+  let read_messages loop c st d =
+    let slots = ref [] and reqs = ref [] in
+    let close = ref false in
     let continue = ref true in
     while !continue do
-      match Wire.frame_total st.ibuf.Ibuf.data ~off:st.ibuf.Ibuf.start ~avail:st.ibuf.Ibuf.len with
-      | Wire.Need_more -> continue := false
-      | Wire.Bad_frame _ ->
-        corrupt := true;
+      match Dialect.cut d st.rd with
+      | Dialect.Need_more -> continue := false
+      | Dialect.Bad _ ->
+        close := true;
         continue := false
-      | Wire.Total total ->
-        if st.ibuf.Ibuf.len < total then continue := false
-        else begin
-          let frame = Bytes.sub_string st.ibuf.Ibuf.data st.ibuf.Ibuf.start total in
-          Ibuf.drop st.ibuf total;
-          if not (fast_frame loop c st frame (!reqs = [])) then
-            match Wire.decode_request frame with
-            | Error _ ->
-              corrupt := true;
-              continue := false
-            | Ok (id, req) ->
-              if not (fast_path loop c st id req frame (!reqs = [])) then begin
-                ids := id :: !ids;
-                reqs := req :: !reqs
-              end
-        end
+      | Dialect.Msg m -> (
+        (* Fast routes only ahead of every engine-bound reply. *)
+        let fast = d = Dialect.Binary && !slots = [] && st.pending = 0 in
+        if not (fast && fast_frame loop c m) then
+          match Dialect.decode_request d m with
+          | Ok (id, req) ->
+            if not (fast && fast_path loop c id req m) then begin
+              slots := Parsed id :: !slots;
+              reqs := req :: !reqs
+            end
+          | Error msg when d = Dialect.Text -> slots := Bad_line msg :: !slots
+          | Error _ ->
+            close := true;
+            continue := false)
     done;
-    if !reqs <> [] then
-      submit loop c (render_binary (List.rev !ids)) (List.rev !reqs);
-    (* A corrupt frame kills this connection - and only this one. *)
-    if !corrupt then Loop.close_conn loop c
+    if !slots <> [] then submit loop c st d (List.rev !slots) (List.rev !reqs);
+    if !close then Loop.close_conn loop c
   in
   let on_data loop c chunk n =
     let st = Loop.state c in
-    Ibuf.append st.ibuf chunk n;
-    (match st.proto with
-    | Sniffing ->
-      st.proto <-
-        (if Wire.is_binary (Bytes.get st.ibuf.Ibuf.data st.ibuf.Ibuf.start) then Binary
-         else Text)
-    | Text | Binary -> ());
-    match st.proto with
-    | Sniffing -> ()
-    | Text -> process_text loop c st
-    | Binary -> process_binary loop c st
+    Dialect.feed st.rd chunk n;
+    if st.dialect = None then st.dialect <- Dialect.sniff st.rd;
+    Option.iter (read_messages loop c st) st.dialect
   in
   let handlers =
     { Loop.on_accept =
-        (fun _fd -> { proto = Sniffing; ibuf = Ibuf.create (); pending = 0 });
+        (fun _fd -> { dialect = None; rd = Dialect.reader (); pending = 0 });
       on_data;
       on_close = (fun _ _ -> ()) }
   in
@@ -386,53 +322,39 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
   Domain.join worker;
   if Sys.file_exists path then Sys.remove path
 
-(* ---------- clients ---------- *)
+(* ---------- client ---------- *)
 
-let with_connection ~path f =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let ic = Unix.in_channel_of_descr fd in
-  let send lines =
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun l ->
-        Buffer.add_string buf l;
-        Buffer.add_char buf '\n')
-      lines;
-    write_all fd (Buffer.contents buf);
-    List.map (fun _ -> input_line ic) lines
-  in
-  f send
-
-let with_binary_connection ~path f =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let buf = Ibuf.create () in
-  let chunk = Bytes.create 65536 in
-  let rec read_response () =
-    match Wire.frame_total buf.Ibuf.data ~off:buf.Ibuf.start ~avail:buf.Ibuf.len with
-    | Wire.Total total when buf.Ibuf.len >= total ->
-      let frame = Bytes.sub_string buf.Ibuf.data buf.Ibuf.start total in
-      Ibuf.drop buf total;
-      Wire.decode_response frame
-    | Wire.Bad_frame e -> Error e
-    | Wire.Need_more | Wire.Total _ -> (
+(* One burst on a connected client socket: write [msgs] in one go, then
+   cut exactly one reply message per request off [rd]. *)
+let send_burst d fd rd chunk msgs =
+  let buf = Buffer.create 256 in
+  List.iter (Dialect.add_message d buf) msgs;
+  let out = Buffer.contents buf and n = Buffer.length buf in
+  let rec put off = if off < n then put (off + Unix.write_substring fd out off (n - off)) in
+  put 0;
+  let rec next () =
+    match Dialect.cut d rd with
+    | Dialect.Msg m -> m
+    | Dialect.Bad msg -> failwith ("Frontend.with_connection: unreadable reply stream: " ^ msg)
+    | Dialect.Need_more -> (
       match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Error "connection closed mid-frame"
+      | 0 -> raise End_of_file
       | n ->
-        Ibuf.append buf chunk n;
-        read_response ())
+        Dialect.feed rd chunk n;
+        next ())
   in
-  let send reqs =
-    let out = Buffer.create 256 in
-    List.iteri
-      (fun i req -> Buffer.add_string out (Wire.encode_request ~id:i req))
-      reqs;
-    write_all fd (Buffer.contents out);
-    List.map (fun _ -> read_response ()) reqs
-  in
-  f send
+  List.map (fun _ -> next ()) msgs
+
+(* The socket is handed to [send_burst] as an argument, never captured
+   by a closure, so R7 follows it to the close. *)
+let with_connection ?(binary = false) ~path f =
+  (* A dead peer must surface as EPIPE on the write, not kill the
+     process with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let d = if binary then Dialect.Binary else Dialect.Text in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      f (send_burst d fd (Dialect.reader ()) (Bytes.create 65536)))

@@ -29,8 +29,9 @@
 
 val handle_lines : Engine.t -> string list -> string list * bool
 (** One reply line per request line, plus [true] when the batch
-    contained a [shutdown] request.  The building block for both
-    servers and for in-process load generation. *)
+    contained a [shutdown] request.  The building block for
+    [serve_stdio] and for in-process load generation; [serve_unix]
+    renders its replies with the same code, in either dialect. *)
 
 val serve_stdio : Engine.t -> unit
 (** Read request lines on stdin until EOF or [shutdown]; a blank line
@@ -42,22 +43,17 @@ val serve_unix : ?idle_timeout:float -> Engine.t -> path:string -> unit
     and serve until a [shutdown] request arrives; then reply, drain,
     close all connections, and unlink [path].  [idle_timeout] (seconds,
     0 = disabled, the default) closes connections with no inbound
-    traffic for that long.  Text lines longer than 1 MiB close the
-    offending connection, as do binary frames that fail magic, version,
-    CRC, or opcode validation. *)
+    traffic for that long.  Every connection reads through one
+    {!Dialect.cut}: a partial text line past {!Dialect.max_line} (1 MiB)
+    closes the offending connection, as do binary frames that fail
+    magic, version, length, CRC, or opcode validation. *)
 
-val with_connection : path:string -> ((string list -> string list) -> 'a) -> 'a
-(** Text client: connect to [path] and pass a batch sender to the
-    callback.  The sender writes its lines and reads exactly one reply
-    line per request, in order. *)
-
-val with_binary_connection :
-  path:string ->
-  ((Protocol.request list ->
-   (int option * Protocol.response, string) result list) ->
-  'a) ->
-  'a
-(** Binary client: the sender frames its requests (ids [0..n-1]),
-    writes them as one burst, and reads one reply frame per request, in
-    order.  Each reply decodes independently, so one corrupt frame
-    reports [Error] without poisoning the rest. *)
+val with_connection :
+  ?binary:bool -> path:string -> ((string list -> string list) -> 'a) -> 'a
+(** The socket client, text unless [binary]: connect to [path] and pass
+    the callback a sender that writes its {!Dialect} messages (lines
+    without ['\n'], or frames) as one burst and cuts one reply message
+    per request off the socket, in order.  SIGPIPE is ignored.  A dead
+    peer raises only [End_of_file] or [Unix.Unix_error]; a reply stream
+    {!Dialect.cut} finds [Bad] raises [Failure].  The socket is closed
+    on every path. *)

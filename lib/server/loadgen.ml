@@ -1,6 +1,5 @@
 open Lattice
 module Epoll = Evloop.Epoll
-module Ibuf = Evloop.Ibuf
 
 type op_mix = [ `Mixed | `Search_only ]
 
@@ -103,11 +102,10 @@ let count_source table resp =
   | None -> ()
   | Some s -> count_in table (Protocol.source_to_string s)
 
-(* The closed-loop driver shared by the text and binary transports.
-   [send_round] takes one (id, request) batch and returns the decoded
-   responses in order; the transport adapter owns encoding and feeds the
-   checksum digest. *)
-let drive ~name ~digest ~send_round (config : config) =
+(* The closed-loop driver over any transport in dialect [d]: [send]
+   takes one burst of request messages and returns one reply message
+   per request, in order.  The digest covers every reply's wire bytes. *)
+let drive ~name d ~send (config : config) =
   if config.requests < 0 then invalid_arg (name ^ ": negative requests");
   if config.clients < 1 then invalid_arg (name ^ ": clients must be >= 1");
   if config.tiles = [] then invalid_arg (name ^ ": empty tile catalogue");
@@ -128,6 +126,16 @@ let drive ~name ~digest ~send_round (config : config) =
   let rounds = ref 0 in
   let by_op = Hashtbl.create 4 in
   let by_source = Hashtbl.create 4 in
+  let digest = Buffer.create 4096 in
+  let send_round reqs =
+    List.map
+      (fun reply ->
+        Dialect.add_message d digest reply;
+        match Dialect.decode_response d reply with
+        | Ok (_, resp) -> resp
+        | Error msg -> Protocol.Error_r ("undecodable reply: " ^ msg))
+      (send (List.map (fun (id, req) -> Dialect.encode_request d ?id req) reqs))
+  in
   let t_start = Unix.gettimeofday () in
   while !completed < config.requests do
     let round = ref [] in
@@ -205,42 +213,15 @@ let drive ~name ~digest ~send_round (config : config) =
       (if elapsed_s > 0.0 then float_of_int !completed /. elapsed_s else 0.0);
   }
 
-let run_with ~send (config : config) =
-  let digest = Buffer.create 4096 in
-  let send_round reqs =
-    let lines = List.map (fun (id, req) -> Protocol.request_to_string ?id req) reqs in
-    List.map
-      (fun reply ->
-        Buffer.add_string digest reply;
-        Buffer.add_char digest '\n';
-        match Protocol.response_of_string reply with
-        | Ok (_, resp) -> resp
-        | Error msg -> Protocol.Error_r ("undecodable reply: " ^ msg))
-      (send lines)
-  in
-  drive ~name:"Loadgen.run_with" ~digest ~send_round config
-
-let run_binary ~send (config : config) =
-  let digest = Buffer.create 4096 in
-  let send_round reqs =
-    (* The binary client assigns burst-local frame ids itself, so the
-       driver's ids are not sent; position matches replies to requests. *)
-    List.map
-      (fun reply ->
-        let id, resp =
-          match reply with
-          | Ok (id, resp) -> (id, resp)
-          | Error msg -> (None, Protocol.Error_r ("undecodable reply: " ^ msg))
-        in
-        Buffer.add_string digest (Protocol.response_to_string ?id resp);
-        Buffer.add_char digest '\n';
-        resp)
-      (send (List.map snd reqs))
-  in
-  drive ~name:"Loadgen.run_binary" ~digest ~send_round config
-
 let run engine config =
-  run_with ~send:(fun lines -> fst (Frontend.handle_lines engine lines)) config
+  drive ~name:"Loadgen.run" Dialect.Text
+    ~send:(fun lines -> fst (Frontend.handle_lines engine lines))
+    config
+
+let run_socket ?(binary = false) ~path config =
+  let d = if binary then Dialect.Binary else Dialect.Text in
+  Frontend.with_connection ~binary ~path (fun send ->
+      drive ~name:"Loadgen.run_socket" d ~send config)
 
 (* ---------- open-loop mode ---------- *)
 
@@ -275,17 +256,13 @@ type open_report = {
 type oconn = {
   ofd : Unix.file_descr;
   orng : Prng.Xoshiro.t;
-  oin : Ibuf.t;
+  oin : Dialect.reader;
   mutable out_buf : bytes;
   mutable out_off : int;  (* next unwritten byte; = length means flushed *)
   mutable flight : float option;  (* latency start of the in-flight request *)
   mutable oclosed : bool;
   mutable owrite : bool;  (* write interest currently registered *)
 }
-
-let encode_one ~binary ~id req =
-  if binary then Bytes.of_string (Wire.encode_request ~id req)
-  else Bytes.of_string (Protocol.request_to_string ~id req ^ "\n")
 
 (* How long a fully-issued run may sit with zero reply progress before
    the remaining in-flight requests are written off as dropped. *)
@@ -300,6 +277,7 @@ let run_open ~path (cfg : open_config) =
   if cfg.total < 0 then invalid_arg "Loadgen.run_open: negative total";
   if cfg.tiles = [] then invalid_arg "Loadgen.run_open: empty tile catalogue";
   let sample = zipf_sampler ~s:cfg.zipf (List.length cfg.tiles) in
+  let d = if cfg.binary then Dialect.Binary else Dialect.Text in
   let ep = Epoll.create () in
   let conns = Hashtbl.create cfg.connections in
   let alive = ref 0 in
@@ -316,7 +294,7 @@ let run_open ~path (cfg : open_config) =
     let c =
       { ofd = fd;
         orng = Prng.Xoshiro.create (Int64.add cfg.seed (Int64.of_int i));
-        oin = Ibuf.create ();
+        oin = Dialect.reader ();
         out_buf = Bytes.empty;
         out_off = 0;
         flight = None;
@@ -371,7 +349,9 @@ let run_open ~path (cfg : open_config) =
   in
   let issue c ~at =
     let _, req = gen_request ~tiles:cfg.tiles ~sample ~ops:cfg.ops c.orng in
-    c.out_buf <- encode_one ~binary:cfg.binary ~id:!sent req;
+    let buf = Buffer.create 64 in
+    Dialect.add_message d buf (Dialect.encode_request d ~id:!sent req);
+    c.out_buf <- Buffer.to_bytes buf;
     c.out_off <- 0;
     c.flight <- Some at;
     incr sent;
@@ -401,50 +381,20 @@ let run_open ~path (cfg : open_config) =
       incr dropped;
       Queue.push c idle
   in
-  let parse_binary c =
-    let progress = ref true in
-    while !progress && not c.oclosed do
-      progress := false;
-      match Wire.frame_total c.oin.Ibuf.data ~off:c.oin.Ibuf.start ~avail:c.oin.Ibuf.len with
-      | Wire.Need_more -> ()
-      | Wire.Bad_frame _ ->
+  let parse_replies c =
+    let continue = ref true in
+    while !continue && not c.oclosed do
+      match Dialect.cut d c.oin with
+      | Dialect.Need_more -> continue := false
+      | Dialect.Bad _ ->
         (* Framing is lost; nothing later on this connection can be
-           trusted to line up with a request. *)
-        drop_reply c;
+           trusted to line up with a request, so its in-flight request
+           is dropped with it. *)
         close_conn c
-      | Wire.Total n ->
-        if c.oin.Ibuf.len >= n then begin
-          let frame = Bytes.sub_string c.oin.Ibuf.data c.oin.Ibuf.start n in
-          Ibuf.drop c.oin n;
-          (match Wire.decode_response frame with
-          | Ok (_, resp) -> finish c resp
-          | Error _ -> drop_reply c);
-          progress := true
-        end
-    done
-  in
-  let find_nl b =
-    let data = b.Ibuf.data and start = b.Ibuf.start and len = b.Ibuf.len in
-    let rec go i =
-      if i >= start + len then None
-      else if Bytes.get data i = '\n' then Some (i - start)
-      else go (i + 1)
-    in
-    go start
-  in
-  let parse_text c =
-    let progress = ref true in
-    while !progress && not c.oclosed do
-      progress := false;
-      match find_nl c.oin with
-      | None -> ()
-      | Some rel ->
-        let line = Bytes.sub_string c.oin.Ibuf.data c.oin.Ibuf.start rel in
-        Ibuf.drop c.oin (rel + 1);
-        (match Protocol.response_of_string line with
+      | Dialect.Msg m -> (
+        match Dialect.decode_response d m with
         | Ok (_, resp) -> finish c resp
-        | Error _ -> drop_reply c);
-        progress := true
+        | Error _ -> drop_reply c)
     done
   in
   let scratch = Bytes.create 65536 in
@@ -456,8 +406,8 @@ let run_open ~path (cfg : open_config) =
         close_conn c;
         continue := false
       | n ->
-        Ibuf.append c.oin scratch n;
-        if cfg.binary then parse_binary c else parse_text c;
+        Dialect.feed c.oin scratch n;
+        parse_replies c;
         if n < Bytes.length scratch then continue := false
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
       | exception Unix.Unix_error _ ->

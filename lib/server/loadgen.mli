@@ -2,7 +2,7 @@
     either wire dialect, and an open-loop epoll client for saturation
     and tail-latency runs.
 
-    {b Closed loop} ([run], [run_with], [run_binary]) simulates
+    {b Closed loop} ([run], [run_socket]) simulates
     [clients] concurrent clients.  Each client keeps one request in
     flight: every round, each client submits its pending request (a
     retry, if the last reply was [overloaded]) or draws a fresh one -
@@ -73,24 +73,16 @@ type report = {
   throughput : float;  (** completions per second *)
 }
 
-val run_with : send:(string list -> string list) -> config -> report
-(** Drive any text transport: [send] takes a batch of request lines and
-    returns one reply line per request, in order
-    ({!Frontend.with_connection} provides one for a socket). *)
-
-val run_binary :
-  send:
-    (Protocol.request list -> (int option * Protocol.response, string) result list) ->
-  config ->
-  report
-(** Drive a binary transport ({!Frontend.with_binary_connection}
-    provides one).  The transport assigns burst-local frame ids, so
-    replies are matched to requests by position; a reply that fails to
-    decode completes its request as an error.  The checksum digests the
-    text rendering of each decoded reply. *)
-
 val run : Engine.t -> config -> report
 (** In-process: drive the engine directly through {!Frontend.handle_lines}. *)
+
+val run_socket : ?binary:bool -> path:string -> config -> report
+(** Drive the daemon at Unix socket [path] through
+    {!Frontend.with_connection}, text unless [binary].  {!run} and this
+    share one driver: requests carry its ids in either dialect, an
+    undecodable reply completes its request as an error, and the
+    checksum digests each reply's wire bytes.  A dead daemon raises only
+    [End_of_file] or [Unix.Unix_error]. *)
 
 (** {2 Open-loop mode} *)
 

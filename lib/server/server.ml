@@ -6,6 +6,7 @@
 module Cache = Cache
 module Protocol = Protocol
 module Wire = Wire
+module Dialect = Dialect
 module Engine = Engine
 module Frontend = Frontend
 module Loadgen = Loadgen

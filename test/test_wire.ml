@@ -10,6 +10,7 @@ module Protocol = Server.Protocol
 module Wire = Server.Wire
 module Engine = Server.Engine
 module Frontend = Server.Frontend
+module Dialect = Server.Dialect
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -180,6 +181,70 @@ let test_header_peeks () =
   Alcotest.(check bool) "crc catches trailer flip" false
     (Wire.frame_crc_ok (Bytes.to_string b))
 
+(* ---------- the one reader ---------- *)
+
+(* Every sample request and response of the round-trip lists, as
+   messages of dialect [d]. *)
+let sample_messages d =
+  List.map (fun (id, r) -> Dialect.encode_request d ?id r) sample_requests
+  @ List.map (fun (id, r) -> Dialect.encode_response d ?id r) sample_responses
+
+let cut_all d rd =
+  let rec go acc =
+    match Dialect.cut d rd with
+    | Dialect.Msg m -> go (m :: acc)
+    | Dialect.Need_more -> List.rev acc
+    | Dialect.Bad e -> Alcotest.failf "well-formed burst cut as Bad: %s" e
+  in
+  go []
+
+let test_cut_every_split () =
+  List.iter
+    (fun d ->
+      let msgs = sample_messages d in
+      let buf = Buffer.create 4096 in
+      List.iter (Dialect.add_message d buf) msgs;
+      let burst = Buffer.to_bytes buf in
+      let n = Bytes.length burst in
+      for k = 0 to n do
+        let rd = Dialect.reader () in
+        Dialect.feed rd burst k;
+        let first = cut_all d rd in
+        Dialect.feed rd (Bytes.sub burst k (n - k)) (n - k);
+        let got = first @ cut_all d rd in
+        if got <> msgs then Alcotest.failf "burst split at byte %d/%d cut differently" k n
+      done)
+    [ Dialect.Text; Dialect.Binary ]
+
+let test_cut_drip_scans_once () =
+  (* A max_line-byte partial line dripped in 4 KiB chunks: before each
+     cut the resume offset sits at the end of the previous chunk, and
+     after it at the end of this one, so each cut examines exactly the
+     bytes that just arrived. *)
+  let chunk = Bytes.make 4096 'x' in
+  let rd = Dialect.reader () in
+  let fed = ref 0 in
+  while !fed < Dialect.max_line do
+    Alcotest.(check int) "resumes where the last scan stopped" !fed (Dialect.scanned rd);
+    let n = min 4096 (Dialect.max_line - !fed) in
+    Dialect.feed rd chunk n;
+    fed := !fed + n;
+    (match Dialect.cut Dialect.Text rd with
+    | Dialect.Need_more -> ()
+    | Dialect.Msg _ | Dialect.Bad _ -> Alcotest.fail "partial line within max_line not Need_more");
+    Alcotest.(check int) "scanned every buffered byte" !fed (Dialect.scanned rd)
+  done;
+  (* One more byte without a newline breaks the documented bound. *)
+  Dialect.feed rd chunk 1;
+  (match Dialect.cut Dialect.Text rd with
+  | Dialect.Bad _ -> ()
+  | Dialect.Msg _ | Dialect.Need_more -> Alcotest.fail "max_line + 1 bytes without a newline not Bad");
+  (* A complete line is a message whatever its length. *)
+  Dialect.feed rd (Bytes.of_string "\n") 1;
+  match Dialect.cut Dialect.Text rd with
+  | Dialect.Msg m -> Alcotest.(check int) "long complete line" (Dialect.max_line + 1) (String.length m)
+  | Dialect.Need_more | Dialect.Bad _ -> Alcotest.fail "complete line not cut"
+
 (* ---------- socket server ---------- *)
 
 let sock_counter = ref 0
@@ -267,7 +332,10 @@ let test_sniff_both_dialects () =
             send [ Protocol.request_to_string ~id:5 req ])
       in
       Alcotest.(check (list string)) "text reply byte-identical" [ expected ] got;
-      (match Frontend.with_binary_connection ~path (fun send -> send [ req ]) with
+      (match
+         Frontend.with_connection ~binary:true ~path (fun send ->
+             List.map Wire.decode_response (send [ Wire.encode_request ~id:0 req ]))
+       with
       | [ Ok (Some 0, Protocol.Slot_r { slot; num_slots; _ }) ] -> (
         match engine_response req with
         | Protocol.Slot_r { slot = s; num_slots = n; _ } ->
@@ -377,6 +445,111 @@ let test_sigpipe_reply_in_flight () =
       | _ -> Alcotest.fail "server unresponsive after reply-in-flight close");
       Unix.close fd)
 
+(* Write [bytes] on a fresh connection in [step]-byte writes, then cut
+   [k] replies off it. *)
+let burst_replies path d bytes ~step k =
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let n = String.length bytes in
+  let rec put off =
+    if off < n then begin
+      write_all fd (String.sub bytes off (min step (n - off)));
+      put (off + step)
+    end
+  in
+  put 0;
+  let rd = Dialect.reader () and chunk = Bytes.create 4096 in
+  let rec get acc k =
+    if k = 0 then List.rev acc
+    else
+      match Dialect.cut d rd with
+      | Dialect.Msg m -> get (m :: acc) (k - 1)
+      | Dialect.Bad e -> Alcotest.failf "bad reply stream: %s" e
+      | Dialect.Need_more ->
+        let got = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if got = 0 then Alcotest.fail "daemon closed before every reply";
+        Dialect.feed rd chunk got;
+        get acc k
+  in
+  get [] k
+
+let test_drip_one_byte_per_write () =
+  (* A pipelined burst written one byte per write must get the replies
+     the same burst gets written at once.  The first burst warms the
+     cache, so both measured bursts are answered from memory. *)
+  let reqs =
+    List.filter
+      (fun (_, r) -> r <> Protocol.Stats && r <> Protocol.Shutdown)
+      sample_requests
+  in
+  with_server (fun path ->
+      List.iter
+        (fun d ->
+          let buf = Buffer.create 1024 in
+          List.iter (fun (id, r) -> Dialect.add_message d buf (Dialect.encode_request d ?id r)) reqs;
+          (* A malformed line is answered [error] in its place. *)
+          if d = Dialect.Text then Dialect.add_message d buf "not a request";
+          List.iter (fun (id, r) -> Dialect.add_message d buf (Dialect.encode_request d ?id r)) reqs;
+          let bytes = Buffer.contents buf in
+          let k = (2 * List.length reqs) + if d = Dialect.Text then 1 else 0 in
+          ignore (burst_replies path d bytes ~step:(String.length bytes) k);
+          let at_once = burst_replies path d bytes ~step:(String.length bytes) k in
+          let dripped = burst_replies path d bytes ~step:1 k in
+          Alcotest.(check (list string)) "dripped replies byte-identical" at_once dripped)
+        [ Dialect.Text; Dialect.Binary ])
+
+(* A stub daemon that accepts one connection, reads one burst and
+   closes it. *)
+let with_stub_server f =
+  incr sock_counter;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tilesched-wire-%d-%d.sock" (Unix.getpid ()) !sock_counter)
+  in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let stub =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        ignore (Unix.read fd (Bytes.create 65536) 0 65536);
+        Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join stub;
+      Unix.close lfd;
+      Sys.remove path)
+    (fun () -> f path)
+
+let test_dead_peer_clean_error () =
+  (* Meeting a dead daemon, the client raises only the two exceptions
+     callers catch - on a read (the peer closed) and on a write (EPIPE,
+     not a SIGPIPE death) - and so does the closed-loop load generator. *)
+  List.iter
+    (fun binary ->
+      let d = if binary then Dialect.Binary else Dialect.Text in
+      let burst = [ Dialect.encode_request d ~id:1 Protocol.Stats ] in
+      with_stub_server (fun path ->
+          match
+            Frontend.with_connection ~binary ~path (fun send ->
+                (match send burst with
+                | _ -> Alcotest.fail "a closed peer answered"
+                | exception (End_of_file | Unix.Unix_error _) -> ());
+                send burst)
+          with
+          | _ -> Alcotest.fail "a write to a closed peer succeeded"
+          | exception (End_of_file | Unix.Unix_error _) -> ());
+      with_stub_server (fun path ->
+          match
+            Server.Loadgen.run_socket ~binary ~path
+              { Server.Loadgen.default with requests = 100 }
+          with
+          | _ -> Alcotest.fail "loadgen completed against a dead daemon"
+          | exception (End_of_file | Unix.Unix_error _) -> ()))
+    [ false; true ]
+
 (* ---------- open-loop load generator ---------- *)
 
 let test_paced_latency_from_schedule () =
@@ -440,6 +613,13 @@ let () =
             test_response_roundtrip;
           Alcotest.test_case "header peeks" `Quick test_header_peeks;
         ] );
+      ( "dialect",
+        [
+          Alcotest.test_case "a pipelined burst cuts alike at every split" `Quick
+            test_cut_every_split;
+          Alcotest.test_case "a dripped line is scanned once; max_line + 1 is Bad" `Quick
+            test_cut_drip_scans_once;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "truncation at every byte offset" `Quick
@@ -458,10 +638,14 @@ let () =
             test_fd_leak_regression;
           Alcotest.test_case "reply to a dead peer never raises SIGPIPE"
             `Quick test_sigpipe_reply_in_flight;
+          Alcotest.test_case "one byte per write: replies as for one burst" `Quick
+            test_drip_one_byte_per_write;
         ] );
       ( "loadgen",
         [
           Alcotest.test_case "paced latency runs from the scheduled slot" `Quick
             test_paced_latency_from_schedule;
+          Alcotest.test_case "a dead daemon is a clean error" `Quick
+            test_dead_peer_clean_error;
         ] );
     ]
